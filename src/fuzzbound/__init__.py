@@ -2,7 +2,6 @@
 
 from .automata import (
     FuzzyAutomaton,
-    SuccPredIndex,
     automaton_from_json,
     automaton_to_json,
     bisim_norm,
@@ -44,9 +43,7 @@ from .fuzzy import (
     compose_set_rel,
     equal_degree,
     inverse,
-    rel_join,
     rel_leq,
-    rel_meet,
     relation_from_json,
     relation_to_json,
     set_leq,

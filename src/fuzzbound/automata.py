@@ -117,9 +117,6 @@ class FuzzyAutomaton:
     def num_symbols(self) -> int:
         return len(self.alphabet)
 
-    def num_transitions(self) -> int:
-        return sum(len(t) for t in self.transitions)
-
     def symbol_index(self, name: str) -> int:
         try:
             return self.alphabet.index(name)
@@ -301,13 +298,10 @@ def automaton_from_json(doc: dict) -> FuzzyAutomaton:
     transitions = []
     for item in doc["transitions"]:
         try:
-            degree = float(item["degree"])
+            degree = validate_degree(item["degree"], "transition degree")
             transitions.append((item["from"], item["symbol"], item["to"], degree))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"malformed transition {item!r}: {exc}") from None
-        if not 0.0 < degree <= 1.0:
-            raise InputFormatError(
-                f"transition degree must lie in (0, 1], got {degree!r}")
     try:
         return FuzzyAutomaton.build(
             alphabet=list(doc["alphabet"]),

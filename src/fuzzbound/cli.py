@@ -2,8 +2,9 @@
 
 Subcommands: dbsim, dbbisim, greatest, check, lang, formula. All results are
 printed as deterministic JSON (keys sorted, numbers at 12 significant
-digits). Exit codes: 0 success, 1 I/O or parse problem, 2 semantic mismatch
-(alphabets, shapes, unknown symbols), 3 resource cap exceeded.
+digits). Exit codes (``_EXIT_CODES``): 0 success, 1 I/O, parse or option
+problem, 2 semantic mismatch (alphabets, shapes, unknown symbols, formula
+dialect), 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .automata import (
-    DEFAULT_WORD_CAP,
     FuzzyAutomaton,
     automaton_from_json,
     language_bounded,
@@ -35,10 +34,8 @@ from .dbsim import (
 )
 from .errors import (
     AlphabetMismatch,
-    DegreeRangeError,
     DialectError,
     DimensionMismatch,
-    FormulaSyntaxError,
     FuzzboundError,
     InputFormatError,
     UnknownSymbol,
@@ -55,31 +52,13 @@ EXIT_INPUT = 1
 EXIT_SEMANTIC = 2
 EXIT_RESOURCE = 3
 
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved run configuration shared by the command handlers."""
-
-    tnorm: str
-    eps_cmp: float
-    max_iters: int
-    tol: float
-    word_cap: int
-    output: Optional[str]
-
-    def __post_init__(self):
-        if self.tnorm not in STRUCTURE_NAMES:
-            raise InputFormatError(
-                f"unknown structure {self.tnorm!r} (known: {', '.join(STRUCTURE_NAMES)})")
-        if self.eps_cmp < 0 or self.tol < 0 or self.max_iters < 0 or self.word_cap < 0:
-            raise InputFormatError("numeric options must be >= 0")
-
-    def structure(self) -> Structure:
-        return structure(self.tnorm, self.eps_cmp)
-
-
-class _UsageError(Exception):
-    pass
+# First match wins: the semantic errors are ValueErrors too.
+_EXIT_CODES = (
+    ((AlphabetMismatch, DimensionMismatch, UnknownSymbol, DialectError),
+     EXIT_SEMANTIC),
+    (WordCapExceeded, EXIT_RESOURCE),
+    ((FuzzboundError, ValueError), EXIT_INPUT),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse's default exit 2, which this tool reserves for semantic
     # mismatches).
     def error(self, message):
-        raise _UsageError(message)
+        raise InputFormatError(message)
 
 
 def _round12(value):
@@ -138,13 +117,14 @@ def _result_doc(result: DbSimResult, a: FuzzyAutomaton,
     return doc
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, handler) -> None:
     parser.add_argument("--tnorm", default=None,
                         help=f"structure name ({', '.join(STRUCTURE_NAMES)}); "
                              f"defaults to ${ENV_TNORM} or godel")
     parser.add_argument("--eps", type=float, default=DEFAULT_EPS,
                         help="comparison tolerance")
     parser.add_argument("--output", default=None, help="write JSON here instead of stdout")
+    parser.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,19 +133,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  "finite fuzzy automata")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("dbsim", parents=[], help="depth-bounded fuzzy simulation")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--trace", action="store_true")
-    _add_common(p)
-
-    p = commands.add_parser("dbbisim", help="depth-bounded fuzzy bisimulation")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--trace", action="store_true")
-    _add_common(p)
+    for name, kind in (("dbsim", "simulation"), ("dbbisim", "bisimulation")):
+        p = commands.add_parser(name, help=f"depth-bounded fuzzy {kind}")
+        p.add_argument("--left", required=True)
+        p.add_argument("--right", required=True)
+        p.add_argument("--depth", type=int, required=True)
+        p.add_argument("--trace", action="store_true")
+        _add_common(p, _cmd_depth_bounded)
 
     p = commands.add_parser("greatest",
                             help="greatest fuzzy (bi)simulation via fixpoint iteration")
@@ -175,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--trace", action="store_true")
-    _add_common(p)
+    _add_common(p, _cmd_greatest)
 
     p = commands.add_parser("check", help="check a relation or chain against the definitions")
     p.add_argument("--left", required=True)
@@ -183,58 +157,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", required=True)
     p.add_argument("--mode", choices=["sim", "bisim", "dbsim", "dbbisim"],
                    required=True)
-    _add_common(p)
+    _add_common(p, _cmd_check)
 
     p = commands.add_parser("lang", help="evaluate the recognized fuzzy language")
     p.add_argument("--left", required=True, help="automaton file")
     p.add_argument("--word", default=None, help="space-separated symbol names")
     p.add_argument("--max-len", type=int, default=None)
-    _add_common(p)
+    _add_common(p, _cmd_lang)
 
     p = commands.add_parser("formula", help="evaluate a formula on an automaton")
     p.add_argument("--left", required=True, help="automaton file")
     p.add_argument("--expr", required=True)
-    _add_common(p)
+    _add_common(p, _cmd_formula)
 
     return parser
 
 
-def _config(args: argparse.Namespace) -> CliConfig:
-    tnorm = args.tnorm or os.environ.get(ENV_TNORM) or "godel"
-    return CliConfig(
-        tnorm=tnorm,
-        eps_cmp=args.eps,
-        max_iters=getattr(args, "max_iters", 1000),
-        tol=getattr(args, "tol", 1e-9),
-        word_cap=DEFAULT_WORD_CAP,
-        output=args.output,
-    )
-
-
-def _cmd_depth_bounded(args: argparse.Namespace, config: CliConfig,
-                       bisim: bool) -> int:
-    st = config.structure()
+def _cmd_depth_bounded(args: argparse.Namespace, st: Structure) -> dict:
     left = _load_automaton(args.left)
     right = _load_automaton(args.right)
     if args.depth < 0:
         raise InputFormatError("--depth must be >= 0")
-    compute = compute_dbbisim if bisim else compute_dbsim
+    compute = compute_dbbisim if args.command == "dbbisim" else compute_dbsim
     result = compute(st, left, right, args.depth, trace=args.trace)
-    _emit(_result_doc(result, left, right), config.output)
-    return EXIT_OK
+    return _result_doc(result, left, right)
 
 
-def _cmd_greatest(args: argparse.Namespace, config: CliConfig) -> int:
-    st = config.structure()
+def _cmd_greatest(args: argparse.Namespace, st: Structure) -> dict:
     left = _load_automaton(args.left)
     right = _load_automaton(args.right)
-    if config.max_iters < 1:
+    if args.max_iters < 1:
         raise InputFormatError("--max-iters must be >= 1")
+    if args.tol < 0:
+        raise InputFormatError("--tol must be >= 0")
     result = greatest_fixpoint(st, left, right, args.mode,
-                               max_iters=config.max_iters, tol=config.tol,
+                               max_iters=args.max_iters, tol=args.tol,
                                trace=args.trace)
-    _emit(_result_doc(result, left, right), config.output)
-    return EXIT_OK
+    return _result_doc(result, left, right)
 
 
 def _load_prefix(doc) -> list[FuzzyRelation]:
@@ -249,8 +208,7 @@ def _load_prefix(doc) -> list[FuzzyRelation]:
     raise InputFormatError("relation file must hold an object or an array")
 
 
-def _cmd_check(args: argparse.Namespace, config: CliConfig) -> int:
-    st = config.structure()
+def _cmd_check(args: argparse.Namespace, st: Structure) -> dict:
     left = _load_automaton(args.left)
     right = _load_automaton(args.right)
     doc = _load_json(args.relation)
@@ -265,81 +223,49 @@ def _cmd_check(args: argparse.Namespace, config: CliConfig) -> int:
         prefix = _load_prefix(doc)
         checker = check_dbsim_prefix if args.mode == "dbsim" else check_dbbisim_prefix
         ok = checker(st, left, right, prefix)
-    _emit({"mode": args.mode, "ok": ok}, config.output)
-    return EXIT_OK
+    return {"mode": args.mode, "ok": ok}
 
 
-def _cmd_lang(args: argparse.Namespace, config: CliConfig) -> int:
-    st = config.structure()
+def _cmd_lang(args: argparse.Namespace, st: Structure) -> dict:
     automaton = _load_automaton(args.left)
     if (args.word is None) == (args.max_len is None):
         raise InputFormatError("lang needs exactly one of --word or --max-len")
     if args.word is not None:
         names = args.word.split()
         word = word_from_names(automaton, names)
-        degree = language_eval(st, automaton, word)
-        _emit({"word": names, "degree": degree}, config.output)
-        return EXIT_OK
+        return {"word": names, "degree": language_eval(st, automaton, word)}
     if args.max_len < 0:
         raise InputFormatError("--max-len must be >= 0")
-    table = language_bounded(st, automaton, args.max_len, cap=config.word_cap)
+    table = language_bounded(st, automaton, args.max_len)
     language = {
         " ".join(automaton.alphabet[s] for s in word): degree
         for word, degree in table.items()
     }
-    _emit({"max_len": args.max_len, "language": language}, config.output)
-    return EXIT_OK
+    return {"max_len": args.max_len, "language": language}
 
 
-def _cmd_formula(args: argparse.Namespace, config: CliConfig) -> int:
-    st = config.structure()
+def _cmd_formula(args: argparse.Namespace, st: Structure) -> dict:
     automaton = _load_automaton(args.left)
     formula = parse_formula(args.expr)
     values = eval_formula(st, automaton, formula)
-    _emit({
+    return {
         "formula": format_formula(formula),
         "values": {automaton.state_names[i]: v
                    for i, v in enumerate(values.degrees)},
-    }, config.output)
-    return EXIT_OK
+    }
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config(args)
-        if args.command == "dbsim":
-            return _cmd_depth_bounded(args, config, bisim=False)
-        if args.command == "dbbisim":
-            return _cmd_depth_bounded(args, config, bisim=True)
-        if args.command == "greatest":
-            return _cmd_greatest(args, config)
-        if args.command == "check":
-            return _cmd_check(args, config)
-        if args.command == "lang":
-            return _cmd_lang(args, config)
-        if args.command == "formula":
-            return _cmd_formula(args, config)
-        raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
+        st = structure(args.tnorm or os.environ.get(ENV_TNORM) or "godel",
+                       args.eps)
+        _emit(args.handler(args, st), args.output)
+        return EXIT_OK
+    except (FuzzboundError, ValueError) as exc:
         print(f"fuzzbound: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (InputFormatError, FormulaSyntaxError, DegreeRangeError) as exc:
-        print(f"fuzzbound: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (AlphabetMismatch, DimensionMismatch, UnknownSymbol, DialectError) as exc:
-        print(f"fuzzbound: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
-    except WordCapExceeded as exc:
-        print(f"fuzzbound: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except FuzzboundError as exc:
-        print(f"fuzzbound: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        print(f"fuzzbound: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 def main() -> None:

@@ -2,7 +2,10 @@
 
 The two computation entry points return the component chain phi_0..phi_k of
 the greatest depth-bounded fuzzy (bi)simulation between two finite automata,
-using the sparse successor/predecessor iteration. A fixpoint driver wraps the
+using the sparse successor/predecessor iteration. One kernel, :func:`_pass`,
+enforces a round's transition condition; a bisimulation is a simulation whose
+inverse is one too, so its mirrored condition is the same kernel on the
+swapped automata and the transposed relations. A fixpoint driver wraps the
 same iteration for the greatest plain fuzzy (bi)simulation, and definition-
 level checkers validate relations and chains directly against the dense
 conditions.
@@ -105,11 +108,12 @@ class DbSimResult:
 
 def _init_grid(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
                bisim: bool) -> list[list[float]]:
-    # phi_0 is the greatest relation compatible with the terminal sets.
+    # phi_0 is the greatest relation compatible with the terminal sets; the
+    # working grid is held x'-major (see _pass).
     op = st.biresiduum if bisim else st.residuum
     ta = a.terminal.degrees
     tb = b.terminal.degrees
-    return [[op(tx, ty) for ty in tb] for tx in ta]
+    return [[op(tx, ty) for tx in ta] for ty in tb]
 
 
 def _norm_from_grid(st: Structure, grid: Sequence[Sequence[float]],
@@ -145,69 +149,48 @@ def _norm_from_grid(st: Structure, grid: Sequence[Sequence[float]],
     return norm
 
 
-def _forward_pass(st: Structure, grid: list[list[float]],
-                  prev: Sequence[Sequence[float]], succ_b, pred_a,
-                  num_a: int, num_b: int, num_symbols: int) -> float:
-    """Enforce the transition condition on grid against prev; returns max decrease."""
+def _pass(st: Structure, grid: list[list[float]],
+          prev: Sequence[Sequence[float]], succ, pred) -> float:
+    """Lower grid to the transition condition against prev; returns the largest drop.
+
+    For each symbol, each transition x -d-> y listed in ``pred`` and each x'
+    with its transitions x' -d'-> y' listed in ``succ``:
+    grid[x'][x] <= d => sup_y' d' (x) prev[y][y']. grid and prev are indexed
+    the opposite way round, so the row written and the row read are both
+    hoisted out of the inner loops. The simulation condition is the call on
+    the x'-major working grid with prev = phi_{i-1} and (succ of b, pred of
+    a); the bisimulation's mirrored condition swaps the automata and
+    transposes both relations.
+    """
     tnorm = st.tnorm
     residuum = st.residuum
     max_drop = 0.0
-    for s in range(num_symbols):
-        succ_s = succ_b[s]
-        pred_s = pred_a[s]
-        for xp in range(num_b):
-            succ_list = succ_s[xp]
-            for y in range(num_a):
-                prev_y = prev[y]
+    for succ_s, pred_s in zip(succ, pred):
+        for row, succ_list in zip(grid, succ_s):
+            for prev_y, pred_list in zip(prev, pred_s):
                 bound = 0.0
                 for yp, d in succ_list:
                     v = tnorm(d, prev_y[yp])
                     if v > bound:
                         bound = v
-                for x, d in pred_s[y]:
-                    row = grid[x]
-                    cur = row[xp]
+                for x, d in pred_list:
+                    cur = row[x]
                     new = residuum(d, bound)
                     if new < cur:
-                        row[xp] = new
+                        row[x] = new
                         drop = cur - new
                         if drop > max_drop:
                             max_drop = drop
     return max_drop
 
 
-def _backward_pass(st: Structure, grid: list[list[float]],
-                   prev: Sequence[Sequence[float]], succ_a, pred_b,
-                   num_a: int, num_b: int, num_symbols: int) -> float:
-    """The mirrored condition block used by the bisimulation computation."""
-    tnorm = st.tnorm
-    residuum = st.residuum
-    max_drop = 0.0
-    for s in range(num_symbols):
-        succ_s = succ_a[s]
-        pred_s = pred_b[s]
-        for x in range(num_a):
-            succ_list = succ_s[x]
-            row = grid[x]
-            for yp in range(num_b):
-                bound = 0.0
-                for y, d in succ_list:
-                    v = tnorm(d, prev[y][yp])
-                    if v > bound:
-                        bound = v
-                for xp, d in pred_s[yp]:
-                    cur = row[xp]
-                    new = residuum(d, bound)
-                    if new < cur:
-                        row[xp] = new
-                        drop = cur - new
-                        if drop > max_drop:
-                            max_drop = drop
-    return max_drop
+def _transpose(grid: Sequence[Sequence[float]]) -> list[list[float]]:
+    return [list(col) for col in zip(*grid)]
 
 
-def _freeze(grid: list[list[float]], num_b: int) -> FuzzyRelation:
-    return FuzzyRelation(len(grid), num_b, tuple(tuple(row) for row in grid))
+def _freeze(grid: list[list[float]]) -> FuzzyRelation:
+    # The working grid is x'-major; relations are x-major.
+    return FuzzyRelation(len(grid[0]), len(grid), tuple(zip(*grid)))
 
 
 def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
@@ -216,38 +199,34 @@ def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
     if max_steps < 0:
         raise ValueError("iteration bound must be >= 0")
     bisim = mode == MODE_BISIM
-    num_a = a.num_states
-    num_b = b.num_states
-    num_symbols = a.num_symbols
     index_a = build_index(a)
     index_b = build_index(b)
 
     grid = _init_grid(st, a, b, bisim)
-    prefix: list[FuzzyRelation] = [_freeze(grid, num_b)]
-    norms: list[float] = [_norm_from_grid(st, grid, a, b, bisim)]
+    prefix: list[FuzzyRelation] = [_freeze(grid)]
+    norms: list[float] = [_norm_from_grid(st, prefix[0].degrees, a, b, bisim)]
     fixpoint_at: Optional[int] = None
     status = "depth" if tol is None else "cap"
 
     for i in range(1, max_steps + 1):
-        prev = [row[:] for row in grid]
-        drop = _forward_pass(st, grid, prev, index_b.succ, index_a.pred,
-                             num_a, num_b, num_symbols)
+        prev = prefix[-1].degrees
+        drop = _pass(st, grid, prev, index_b.succ, index_a.pred)
         if bisim:
-            back = _backward_pass(st, grid, prev, index_a.succ, index_b.pred,
-                                  num_a, num_b, num_symbols)
-            if back > drop:
-                drop = back
+            rows = _transpose(grid)
+            drop = max(drop, _pass(st, rows, _transpose(prev),
+                                   index_a.succ, index_b.pred))
+            grid = _transpose(rows)
         if drop == 0.0:
             # This iteration changed nothing, so phi_{i-1} is the fixpoint.
             fixpoint_at = i - 1
             status = "fixpoint"
             break
-        frozen = _freeze(grid, num_b)
+        frozen = _freeze(grid)
         if trace:
             prefix.append(frozen)
         else:
             prefix[0] = frozen
-        norms.append(_norm_from_grid(st, grid, a, b, bisim))
+        norms.append(_norm_from_grid(st, frozen.degrees, a, b, bisim))
         if tol is not None and drop <= tol:
             status = "tol"
             break
@@ -278,8 +257,9 @@ def compute_dbbisim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, k: int,
                     trace: bool = False) -> DbSimResult:
     """Component phi_k of the greatest depth-bounded fuzzy bisimulation.
 
-    Like :func:`compute_dbsim` with the terminal biresiduum start and a
-    mirrored condition block per round; both blocks read the round-start copy.
+    Like :func:`compute_dbsim` with the terminal biresiduum start; each round
+    also runs the simulation kernel from b to a on the transposed relations,
+    and both conditions read phi_{i-1}.
     """
     return _run(st, a, b, MODE_BISIM, k, trace, tol=None)
 

@@ -8,7 +8,7 @@ operations treat their inputs as immutable and return fresh values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import DimensionMismatch, InputFormatError
 from .lattice import Structure, validate_degree
@@ -214,22 +214,6 @@ def rel_leq(st: Structure, a: FuzzyRelation, b: FuzzyRelation) -> bool:
                for av, bv in zip(arow, brow))
 
 
-def rel_meet(st: Structure, a: FuzzyRelation, b: FuzzyRelation) -> FuzzyRelation:
-    _require_same_shape(a, b)
-    return FuzzyRelation(
-        a.rows, a.cols,
-        tuple(tuple(min(av, bv) for av, bv in zip(arow, brow))
-              for arow, brow in zip(a.degrees, b.degrees)))
-
-
-def rel_join(st: Structure, a: FuzzyRelation, b: FuzzyRelation) -> FuzzyRelation:
-    _require_same_shape(a, b)
-    return FuzzyRelation(
-        a.rows, a.cols,
-        tuple(tuple(max(av, bv) for av, bv in zip(arow, brow))
-              for arow, brow in zip(a.degrees, b.degrees)))
-
-
 def relation_to_json(rel: FuzzyRelation) -> dict:
     """Sparse JSON form: zero entries are omitted."""
     return {
@@ -239,19 +223,31 @@ def relation_to_json(rel: FuzzyRelation) -> dict:
     }
 
 
+def _json_index(value, what: str) -> int:
+    # int() would truncate 1.9 to 1; bool is an int subclass but not an index.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputFormatError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def relation_from_json(doc: dict) -> FuzzyRelation:
     if not isinstance(doc, dict):
         raise InputFormatError("relation document must be a JSON object")
     try:
-        rows = int(doc["rows"])
-        cols = int(doc["cols"])
-        raw = doc.get("entries", [])
-    except (KeyError, TypeError, ValueError) as exc:
+        rows = _json_index(doc["rows"], "rows")
+        cols = _json_index(doc["cols"], "cols")
+    except KeyError as exc:
         raise InputFormatError(f"malformed relation document: {exc}") from None
+    if rows < 0 or cols < 0:
+        raise InputFormatError(f"relation shape must be >= 0, got {rows}x{cols}")
+    raw = doc.get("entries", [])
+    if not isinstance(raw, (list, tuple)):
+        raise InputFormatError("relation entries must be a JSON array")
     entries: list[tuple[int, int, float]] = []
     for item in raw:
-        if not isinstance(item, Sequence) or len(item) != 3:
+        if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise InputFormatError(f"malformed relation entry {item!r}")
-        entries.append((int(item[0]), int(item[1]),
+        entries.append((_json_index(item[0], "entry row"),
+                        _json_index(item[1], "entry column"),
                         validate_degree(item[2], "relation degree")))
     return FuzzyRelation.from_entries(rows, cols, entries)

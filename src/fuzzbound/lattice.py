@@ -10,7 +10,7 @@ assumption, not a runtime check.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import DegreeRangeError
 
@@ -22,6 +22,8 @@ BinaryOp = Callable[[float, float], float]
 def validate_degree(value: float, what: str = "degree") -> float:
     """Return ``value`` if it is a real number in [0, 1], else raise."""
     try:
+        if isinstance(value, bool):  # JSON true is not a degree
+            raise TypeError
         v = float(value)
     except (TypeError, ValueError):
         raise DegreeRangeError(f"{what} must be a real number, got {value!r}") from None
@@ -86,16 +88,6 @@ class Structure:
         a = self.residuum(x, y)
         b = self.residuum(y, x)
         return a if a < b else b
-
-    @staticmethod
-    def meet_all(values: Iterable[float]) -> float:
-        """Infimum of a finite family; 1 on the empty family."""
-        return min(values, default=1.0)
-
-    @staticmethod
-    def join_all(values: Iterable[float]) -> float:
-        """Supremum of a finite family; 0 on the empty family."""
-        return max(values, default=0.0)
 
     def leq(self, x: float, y: float) -> bool:
         """x <= y up to the comparison tolerance."""

@@ -30,6 +30,11 @@ from .lattice import Structure, validate_degree
 DIALECT_SIM = "sim"
 DIALECT_BISIM = "bisim"
 
+# Deepest parenthesis nesting the parser accepts. The evaluator, printer and
+# walkers recurse once per level, so this keeps them well inside Python's
+# default recursion limit of 1000.
+MAX_NESTING = 256
+
 
 class Formula:
     """Base class for formula nodes."""
@@ -167,13 +172,14 @@ class _Parser:
         return token
 
     def parse(self) -> Formula:
-        formula = self._formula()
+        formula = self._formula(0)
         token = self._peek()
         if token[0] != "eof":
             raise FormulaSyntaxError(f"trailing input {token[1]!r}", token[2])
         return formula
 
-    def _formula(self) -> Formula:
+    def _formula(self, depth: int) -> Formula:
+        """Parse one formula enclosed in ``depth`` parentheses."""
         kind, value, pos = self._peek()
         if kind == "tau":
             self.index += 1
@@ -182,12 +188,16 @@ class _Parser:
             raise FormulaSyntaxError(
                 f"expected a formula, found {value!r}" if kind != "eof"
                 else "expected a formula, found end of input", pos)
+        if depth == MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"formula nests deeper than {MAX_NESTING} parentheses", pos)
+        depth += 1
         self.index += 1
         kind, value, pos = self._peek()
         if kind == "symbol":
             self.index += 1
             self._take("dot", "'.'")
-            child = self._formula()
+            child = self._formula(depth)
             self._take("rparen", "')'")
             return Dia(value, child)
         if kind == "number":
@@ -202,12 +212,12 @@ class _Parser:
                     f"expected '->' or '<->' after a constant, found {op_value!r}",
                     op_pos)
             self.index += 1
-            child = self._formula()
+            child = self._formula(depth)
             self._take("rparen", "')'")
             return Imp(constant, child) if op_kind == "imp" else Equiv(constant, child)
-        left = self._formula()
+        left = self._formula(depth)
         self._take("amp", "'&'")
-        right = self._formula()
+        right = self._formula(depth)
         self._take("rparen", "')'")
         return And(left, right)
 

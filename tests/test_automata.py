@@ -85,7 +85,7 @@ class TestBuildIndex:
                      for y, lst in enumerate(per)
                      for x, d in lst}
         assert from_succ == from_pred
-        assert len(from_succ) == a.num_transitions()
+        assert len(from_succ) == sum(len(t) for t in a.transitions)
 
 
 class TestLanguage:
@@ -241,6 +241,19 @@ class TestJson:
     def test_rejects_missing_keys(self):
         with pytest.raises(InputFormatError):
             automaton_from_json({"alphabet": ["s"]})
+
+    @pytest.mark.parametrize("key", ["initial", "terminal"])
+    def test_rejects_boolean_end_degree(self, key):
+        doc = automaton_to_json(chain_pair()[0])
+        doc[key] = {"u": True}
+        with pytest.raises(InputFormatError):
+            automaton_from_json(doc)
+
+    def test_rejects_boolean_transition_degree(self):
+        doc = automaton_to_json(chain_pair()[0])
+        doc["transitions"][0]["degree"] = True
+        with pytest.raises(InputFormatError):
+            automaton_from_json(doc)
 
 
 def test_loop_pair_shapes():

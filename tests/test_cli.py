@@ -195,6 +195,18 @@ class TestCheck:
         assert run(["check", "--left", left, "--right", right,
                     "--relation", str(rel), "--mode", "sim"]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"rows": -1, "cols": 2, "entries": []},
+        {"rows": 2, "cols": 2, "entries": [[0.7, 1.9, 0.5]]},
+        {"rows": 2, "cols": 2, "entries": [[0, 0, True]]},
+    ])
+    def test_malformed_relation_is_input_error(self, files, tmp_path, doc):
+        left, right = files
+        rel = tmp_path / "rel.json"
+        rel.write_text(json.dumps(doc))
+        assert run(["check", "--left", left, "--right", right,
+                    "--relation", str(rel), "--mode", "sim"]) == 1
+
     def test_eps_flag_loosens_comparisons(self, files, tmp_path, capsys):
         left, right = files
         rel = tmp_path / "rel.json"
@@ -265,6 +277,12 @@ class TestFormula:
     def test_unknown_symbol(self, files):
         left, _ = files
         assert run(["formula", "--left", left, "--expr", "(t . T)"]) == 2
+
+    def test_deep_nesting_is_syntax_error(self, files, capsys):
+        left, _ = files
+        expr = "(s . " * 3000 + "T" + ")" * 3000
+        assert run(["formula", "--left", left, "--expr", expr]) == 1
+        assert "nests deeper" in capsys.readouterr().err
 
 
 class TestEnvironment:

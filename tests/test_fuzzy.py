@@ -10,9 +10,7 @@ from fuzzbound import (
     compose_set_rel,
     equal_degree,
     inverse,
-    rel_join,
     rel_leq,
-    rel_meet,
     relation_from_json,
     relation_to_json,
     set_leq,
@@ -119,7 +117,10 @@ class TestCompose:
         rng = random.Random(12)
         for _ in range(30):
             a = random_relation(rng, 3, 3)
-            bigger = rel_join(st, a, random_relation(rng, 3, 3))
+            other = random_relation(rng, 3, 3)
+            bigger = FuzzyRelation(3, 3, tuple(
+                tuple(map(max, arow, orow))
+                for arow, orow in zip(a.degrees, other.degrees)))
             b = random_relation(rng, 3, 2)
             assert rel_leq(st, compose_rel_rel(st, a, b),
                            compose_rel_rel(st, bigger, b))
@@ -174,19 +175,9 @@ class TestPointwiseOps:
         rel = random_relation(rng, 3, 3)
         assert rel_leq(st, FuzzyRelation.empty(3, 3), rel)
 
-    def test_meet_idempotent(self, st):
-        rng = random.Random(17)
-        rel = random_relation(rng, 2, 4)
-        assert rel_meet(st, rel, rel) == rel
-
-    def test_join_with_empty(self, st):
-        rng = random.Random(18)
-        rel = random_relation(rng, 2, 4)
-        assert rel_join(st, rel, FuzzyRelation.empty(2, 4)) == rel
-
     def test_shape_mismatch(self, st):
         with pytest.raises(DimensionMismatch):
-            rel_meet(st, FuzzyRelation.empty(2, 3), FuzzyRelation.empty(3, 2))
+            rel_leq(st, FuzzyRelation.empty(2, 3), FuzzyRelation.empty(3, 2))
 
 
 class TestJson:
@@ -206,3 +197,20 @@ class TestJson:
             relation_from_json({"rows": 2, "cols": 2, "entries": [[0, 1]]})
         with pytest.raises(DegreeRangeError):
             relation_from_json({"rows": 1, "cols": 1, "entries": [[0, 0, 1.4]]})
+
+    @pytest.mark.parametrize("entry", [[0.7, 1.9, 0.5], [0, 1.0, 0.5],
+                                       [True, 0, 0.5], [0, "1", 0.5]])
+    def test_rejects_non_integer_indices(self, entry):
+        # int() would read [0.7, 1.9, 0.5] as cell (0, 1).
+        with pytest.raises(InputFormatError):
+            relation_from_json({"rows": 2, "cols": 2, "entries": [entry]})
+
+    @pytest.mark.parametrize("shape", [(-1, 2), (2, -1), (2.5, 2), (True, 1)])
+    def test_rejects_bad_shape(self, shape):
+        rows, cols = shape
+        with pytest.raises(InputFormatError):
+            relation_from_json({"rows": rows, "cols": cols, "entries": []})
+
+    def test_rejects_boolean_degree(self):
+        with pytest.raises(DegreeRangeError):
+            relation_from_json({"rows": 1, "cols": 1, "entries": [[0, 0, True]]})

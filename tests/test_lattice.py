@@ -2,7 +2,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as strat
 
-from fuzzbound import custom_structure, structure, validate_degree
+from fuzzbound import (
+    FuzzyRelation,
+    FuzzySet,
+    compose_set_rel,
+    custom_structure,
+    structure,
+    subset_degree,
+    validate_degree,
+)
 from fuzzbound.errors import DegreeRangeError
 from fuzzbound.lattice import STRUCTURE_NAMES
 
@@ -45,12 +53,18 @@ class TestGoldenValues:
         assert structure("godel").biresiduum(1.0, 0.8) == pytest.approx(0.8, abs=EPS)
 
     def test_meet_join(self, st):
-        assert st.meet_all([0.9, 0.7]) == 0.7
-        assert st.join_all([0.9, 0.7]) == 0.9
+        # The t-norm lies below the meet; the biresiduum is the meet of the
+        # residua in both directions.
+        assert st.tnorm(0.9, 0.7) <= min(0.9, 0.7)
+        assert st.biresiduum(0.9, 0.7) == min(st.residuum(0.9, 0.7),
+                                              st.residuum(0.7, 0.9))
 
     def test_empty_meet_is_top_empty_join_is_bottom(self, st):
-        assert st.meet_all([]) == 1.0
-        assert st.join_all([]) == 0.0
+        # Inclusion over no states is a meet of nothing; composing through no
+        # states is a join of nothing.
+        assert subset_degree(st, FuzzySet(()), FuzzySet(())) == 1.0
+        assert compose_set_rel(st, FuzzySet(()),
+                               FuzzyRelation(0, 2)).degrees == (0.0, 0.0)
 
 
 class TestLatticeLaws:
@@ -101,14 +115,14 @@ class TestLatticeLaws:
 
     @given(x=degrees, ys=degree_lists)
     def test_tnorm_distributes_over_join(self, st, x, ys):
-        left = st.tnorm(x, st.join_all(ys))
-        right = st.join_all([st.tnorm(x, y) for y in ys])
+        left = st.tnorm(x, max(ys, default=0.0))
+        right = max((st.tnorm(x, y) for y in ys), default=0.0)
         assert left == pytest.approx(right, abs=EPS)
 
     @given(xs=degree_lists, y=degrees)
     def test_residuum_turns_join_into_meet(self, st, xs, y):
-        left = st.residuum(st.join_all(xs), y)
-        right = st.meet_all([st.residuum(x, y) for x in xs])
+        left = st.residuum(max(xs, default=0.0), y)
+        right = min((st.residuum(x, y) for x in xs), default=1.0)
         assert left == pytest.approx(right, abs=EPS)
 
 
@@ -149,3 +163,5 @@ class TestConstruction:
             validate_degree(1.0000001)
         with pytest.raises(DegreeRangeError):
             validate_degree("high")
+        with pytest.raises(DegreeRangeError):
+            validate_degree(True)

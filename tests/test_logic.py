@@ -24,7 +24,7 @@ from fuzzbound import (
     structure,
 )
 from fuzzbound.errors import DegreeRangeError, DialectError, FormulaSyntaxError
-from fuzzbound.logic import formula_size
+from fuzzbound.logic import MAX_NESTING, formula_size
 from fuzzbound.oracle import RandomAutomatonSpec, generate_automaton
 
 WORKED = "(s . (s . (0.9 -> T)))"
@@ -72,6 +72,21 @@ class TestParser:
             for dialect in ("sim", "bisim"):
                 formula = random_formula(dialect, 3, pool, ("s", "t"), seed)
                 assert parse_formula(format_formula(formula)) == formula
+
+    def test_nesting_cap(self, st, pair):
+        a, _ = pair
+        levels = MAX_NESTING - 1
+        text = "(s . " * levels + "(0.9 -> T)" + ")" * levels
+        formula = parse_formula(text)
+        # Every recursive walker copes with a formula at the cap.
+        assert formula_depth(formula) == levels
+        assert in_dialect(formula, "sim")
+        assert format_formula(formula) == text
+        assert eval_formula(st, a, formula).size == a.num_states
+        deeper = "(s . " * (MAX_NESTING + 1) + "T" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_formula(deeper)
+        assert info.value.position == 5 * MAX_NESTING
 
     def test_round_trip_tiny_constant(self):
         formula = Imp(1e-05, Tau())
