@@ -8,7 +8,6 @@ from .automata import (
     build_index,
     language_bounded,
     language_eval,
-    pin_initial,
     sim_norm,
     word_from_names,
 )

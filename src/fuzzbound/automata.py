@@ -63,15 +63,18 @@ class FuzzyAutomaton:
             for x, y, d in triples:
                 if not (0 <= x < self.num_states and 0 <= y < self.num_states):
                     raise ValueError(f"transition ({x}, {y}) out of state range")
-                if not 0.0 < d <= 1.0:
-                    raise DegreeRangeError(
-                        f"transition degree must lie in (0, 1], got {d!r}")
+                if type(d) is not float or not 0.0 < d <= 1.0:
+                    what = (f"degree of transition {self.state_names[x]} "
+                            f"-{self.alphabet[s]}-> {self.state_names[y]}")
+                    d = validate_degree(d, what)
+                    if d == 0.0:
+                        raise DegreeRangeError(f"{what} must lie in (0, 1], got {d!r}")
                 if (s, x, y) in seen:
                     raise ValueError(
                         f"duplicate transition for symbol {self.alphabet[s]!r}: "
                         f"({x}, {y})")
                 seen.add((s, x, y))
-                per_symbol.append((x, y, float(d)))
+                per_symbol.append((x, y, d))
             normalized.append(tuple(per_symbol))
         object.__setattr__(self, "transitions", tuple(normalized))
 
@@ -186,6 +189,19 @@ def _advance(tnorm, succ_s, vec: list[float], n: int) -> list[float]:
     return new
 
 
+def pull_back(tnorm, succ_s, vec: Sequence[float]) -> list[float]:
+    """One backward sup-t-norm step: x |-> sup_y delta_s(x, y) (x) vec(y)."""
+    out = []
+    for succ_x in succ_s:
+        best = 0.0
+        for y, d in succ_x:
+            v = tnorm(d, vec[y])
+            if v > best:
+                best = v
+        out.append(best)
+    return out
+
+
 def _accept(tnorm, vec, terminal) -> float:
     return max(
         (tnorm(fv, tv) for fv, tv in zip(vec, terminal) if fv > 0.0),
@@ -208,6 +224,15 @@ def language_eval(st: Structure, automaton: FuzzyAutomaton,
     return _accept(tnorm, vec, automaton.terminal.degrees)
 
 
+def require_word_bound(automaton: FuzzyAutomaton, n: int, cap: int) -> None:
+    """Refuse a negative length bound, or one whose words would exceed cap."""
+    if n < 0:
+        raise ValueError("word-length bound must be >= 0")
+    if automaton.num_symbols ** (n + 1) > cap:
+        raise WordCapExceeded(
+            f"{automaton.num_symbols}^{n + 1} words exceed the cap of {cap}")
+
+
 def language_bounded(st: Structure, automaton: FuzzyAutomaton, n: int,
                      cap: int = DEFAULT_WORD_CAP) -> dict[Word, float]:
     """All words of length <= n with their acceptance degrees.
@@ -216,11 +241,7 @@ def language_bounded(st: Structure, automaton: FuzzyAutomaton, n: int,
     every word up to the bound. Words are enumerated breadth first, carrying
     the forward state-distribution vector so each level costs O(m) per word.
     """
-    if n < 0:
-        raise ValueError("word-length bound must be >= 0")
-    if automaton.num_symbols ** (n + 1) > cap:
-        raise WordCapExceeded(
-            f"{automaton.num_symbols}^{n + 1} words exceed the cap of {cap}")
+    require_word_bound(automaton, n, cap)
     tnorm = st.tnorm
     index = build_index(automaton)
     terminal = automaton.terminal.degrees
@@ -238,20 +259,6 @@ def language_bounded(st: Structure, automaton: FuzzyAutomaton, n: int,
                         _advance(tnorm, index.succ[s], vec, automaton.num_states)))
         frontier = next_frontier
     return language
-
-
-def pin_initial(automaton: FuzzyAutomaton, state: int) -> FuzzyAutomaton:
-    """Copy of the automaton whose initial set is exactly {state: 1}."""
-    if not 0 <= state < automaton.num_states:
-        raise IndexError(f"state index {state} out of range")
-    return FuzzyAutomaton(
-        num_states=automaton.num_states,
-        alphabet=automaton.alphabet,
-        transitions=automaton.transitions,
-        initial=FuzzySet.from_support(automaton.num_states, {state: 1.0}),
-        terminal=automaton.terminal,
-        state_names=automaton.state_names,
-    )
 
 
 def sim_norm(st: Structure, rel: FuzzyRelation, a: FuzzyAutomaton,
@@ -292,23 +299,27 @@ def automaton_to_json(automaton: FuzzyAutomaton) -> dict:
 def automaton_from_json(doc: dict) -> FuzzyAutomaton:
     if not isinstance(doc, dict):
         raise InputFormatError("automaton document must be a JSON object")
-    for key in ("alphabet", "states", "initial", "terminal", "transitions"):
+    for key, kind in (("alphabet", list), ("states", list), ("initial", dict),
+                      ("terminal", dict), ("transitions", list)):
         if key not in doc:
             raise InputFormatError(f"automaton document lacks {key!r}")
+        if not isinstance(doc[key], kind):
+            raise InputFormatError(
+                f"{key!r} must be a JSON {'array' if kind is list else 'object'}")
     transitions = []
     for item in doc["transitions"]:
         try:
-            degree = validate_degree(item["degree"], "transition degree")
-            transitions.append((item["from"], item["symbol"], item["to"], degree))
-        except (KeyError, TypeError, ValueError) as exc:
+            transitions.append(
+                (item["from"], item["symbol"], item["to"], item["degree"]))
+        except (KeyError, TypeError) as exc:
             raise InputFormatError(f"malformed transition {item!r}: {exc}") from None
+    columns = (doc["alphabet"], doc["states"], *zip(*transitions))
+    for key, names in zip(("alphabet", "states", "from", "symbol", "to"), columns):
+        for name in names:
+            if not isinstance(name, str):
+                raise InputFormatError(f"{key!r} holds {name!r}, not a string")
     try:
-        return FuzzyAutomaton.build(
-            alphabet=list(doc["alphabet"]),
-            states=list(doc["states"]),
-            initial=dict(doc["initial"]),
-            terminal=dict(doc["terminal"]),
-            transitions=transitions,
-        )
+        return FuzzyAutomaton.build(doc["alphabet"], doc["states"], doc["initial"],
+                                    doc["terminal"], transitions)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from None

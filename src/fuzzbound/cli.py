@@ -82,8 +82,11 @@ def _round12(value):
 def _emit(doc: dict, output: Optional[str]) -> None:
     text = json.dumps(_round12(doc), sort_keys=True, indent=2) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputFormatError(f"cannot write {output}: {exc}") from None
     else:
         sys.stdout.write(text)
 

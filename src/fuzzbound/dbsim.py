@@ -2,13 +2,13 @@
 
 The two computation entry points return the component chain phi_0..phi_k of
 the greatest depth-bounded fuzzy (bi)simulation between two finite automata,
-using the sparse successor/predecessor iteration. One kernel, :func:`_pass`,
-enforces a round's transition condition; a bisimulation is a simulation whose
-inverse is one too, so its mirrored condition is the same kernel on the
-swapped automata and the transposed relations. A fixpoint driver wraps the
-same iteration for the greatest plain fuzzy (bi)simulation, and definition-
-level checkers validate relations and chains directly against the dense
-conditions.
+using the sparse successor/predecessor iteration. A bisimulation is a
+simulation whose inverse is one too, so the simulation code also serves the
+mirrored side, on the swapped automata and the inverse relations: the round
+kernel :func:`_pass`, the round norm :func:`_norm`, and the conditions the
+definition-level checkers test. A fixpoint driver wraps the same iteration
+for the greatest plain fuzzy (bi)simulation, which is checked as the
+constant chain (rel, rel).
 """
 
 from __future__ import annotations
@@ -18,8 +18,10 @@ from typing import Optional, Sequence
 
 from .automata import (
     FuzzyAutomaton,
+    bisim_norm,
     build_index,
     require_same_alphabet,
+    sim_norm,
 )
 from .errors import DimensionMismatch
 from .fuzzy import (
@@ -116,34 +118,21 @@ def _init_grid(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
     return [[op(tx, ty) for tx in ta] for ty in tb]
 
 
-def _norm_from_grid(st: Structure, grid: Sequence[Sequence[float]],
-                    a: FuzzyAutomaton, b: FuzzyAutomaton, bisim: bool) -> float:
+def _norm(st: Structure, rows: Sequence[Sequence[float]],
+          init_rows: Sequence[float], init_cols: Sequence[float]) -> float:
+    # Simulation norm of the relation held row by row: the graded inclusion
+    # of the row side's initial set in the column side's, pulled back.
     tnorm = st.tnorm
     residuum = st.residuum
-    ia = a.initial.degrees
-    ib = b.initial.degrees
     norm = 1.0
-    for x, sx in enumerate(ia):
+    for sx, row in zip(init_rows, rows):
         pulled = 0.0
-        row = grid[x]
-        for xp, sxp in enumerate(ib):
+        for sxp, v in zip(init_cols, row):
             if sxp > 0.0:
-                v = tnorm(sxp, row[xp])
+                v = tnorm(sxp, v)
                 if v > pulled:
                     pulled = v
         r = residuum(sx, pulled)
-        if r < norm:
-            norm = r
-    if not bisim:
-        return norm
-    for xp, sxp in enumerate(ib):
-        pulled = 0.0
-        for x, sx in enumerate(ia):
-            if sx > 0.0:
-                v = tnorm(sx, grid[x][xp])
-                if v > pulled:
-                    pulled = v
-        r = residuum(sxp, pulled)
         if r < norm:
             norm = r
     return norm
@@ -202,9 +191,17 @@ def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
     index_a = build_index(a)
     index_b = build_index(b)
 
+    ia, ib = a.initial.degrees, b.initial.degrees
+
+    def norm_of(frozen: FuzzyRelation, grid: list[list[float]]) -> float:
+        # The bisimulation norm adds the simulation norm from b to a on the
+        # inverse relation, which the x'-major working grid holds row by row.
+        value = _norm(st, frozen.degrees, ia, ib)
+        return min(value, _norm(st, grid, ib, ia)) if bisim else value
+
     grid = _init_grid(st, a, b, bisim)
     prefix: list[FuzzyRelation] = [_freeze(grid)]
-    norms: list[float] = [_norm_from_grid(st, prefix[0].degrees, a, b, bisim)]
+    norms: list[float] = [norm_of(prefix[0], grid)]
     fixpoint_at: Optional[int] = None
     status = "depth" if tol is None else "cap"
 
@@ -226,7 +223,7 @@ def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
             prefix.append(frozen)
         else:
             prefix[0] = frozen
-        norms.append(_norm_from_grid(st, frozen.degrees, a, b, bisim))
+        norms.append(norm_of(frozen, grid))
         if tol is not None and drop <= tol:
             status = "tol"
             break
@@ -290,26 +287,15 @@ def _check_rel_shape(rel: FuzzyRelation, a: FuzzyAutomaton,
 
 def check_sim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
               rel: FuzzyRelation) -> bool:
-    """Is rel a fuzzy simulation? Evaluates the defining inequalities densely."""
-    require_same_alphabet(a, b)
-    _check_rel_shape(rel, a, b)
-    rel_inv = inverse(rel)
-    if not set_leq(st, compose_rel_set(st, rel_inv, a.terminal), b.terminal):
-        return False
-    for s in range(a.num_symbols):
-        lhs = compose_rel_rel(st, rel_inv, a.symbol_relation(s))
-        rhs = compose_rel_rel(st, b.symbol_relation(s), rel_inv)
-        if not rel_leq(st, lhs, rhs):
-            return False
-    return True
+    """Is rel a fuzzy simulation? The chain check on the constant chain (rel, rel)."""
+    return _check_prefix(st, a, b, (rel, rel), bisim=False)
 
 
 def check_bisim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
                 rel: FuzzyRelation) -> bool:
-    """Is rel a fuzzy bisimulation (a simulation whose inverse also is one)?"""
-    if not check_sim(st, a, b, rel):
-        return False
-    return check_sim(st, b, a, inverse(rel))
+    """Is rel a fuzzy bisimulation? The check of :func:`check_sim`, run both
+    ways: on rel from a to b and on its inverse from b to a."""
+    return _check_prefix(st, a, b, (rel, rel), bisim=True)
 
 
 def check_dbsim_prefix(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
@@ -325,7 +311,8 @@ def check_dbsim_prefix(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
 
 def check_dbbisim_prefix(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
                          prefix: Sequence[FuzzyRelation]) -> bool:
-    """Bisimulation counterpart of :func:`check_dbsim_prefix`."""
+    """Bisimulation counterpart of :func:`check_dbsim_prefix`: the chain
+    passes the simulation check from a to b, and its inverse from b to a."""
     return _check_prefix(st, a, b, prefix, bisim=True)
 
 
@@ -336,31 +323,27 @@ def _check_prefix(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
         raise ValueError("prefix must contain at least one relation")
     for rel in prefix:
         _check_rel_shape(rel, a, b)
+    inverses = [inverse(rel) for rel in prefix]
+    return (_simulates(st, a, b, prefix, inverses)
+            and (not bisim or _simulates(st, b, a, inverses, prefix)))
 
-    first = prefix[0]
-    if not set_leq(st, compose_rel_set(st, inverse(first), a.terminal), b.terminal):
-        return False
-    if bisim and not set_leq(st, compose_rel_set(st, first, b.terminal), a.terminal):
-        return False
 
+def _simulates(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
+               chain: Sequence[FuzzyRelation],
+               inverses: Sequence[FuzzyRelation]) -> bool:
+    # The simulation conditions on a chain from a to b, given its inverses.
+    if not set_leq(st, compose_rel_set(st, inverses[0], a.terminal), b.terminal):
+        return False
     rels_a = [a.symbol_relation(s) for s in range(a.num_symbols)]
     rels_b = [b.symbol_relation(s) for s in range(b.num_symbols)]
-    for i in range(1, len(prefix)):
-        cur, older = prefix[i], prefix[i - 1]
-        if not rel_leq(st, cur, older):
+    for i in range(1, len(chain)):
+        if not rel_leq(st, chain[i], chain[i - 1]):
             return False
-        cur_inv = inverse(cur)
-        older_inv = inverse(older)
-        for s in range(a.num_symbols):
-            lhs = compose_rel_rel(st, cur_inv, rels_a[s])
-            rhs = compose_rel_rel(st, rels_b[s], older_inv)
+        for rel_a, rel_b in zip(rels_a, rels_b):
+            lhs = compose_rel_rel(st, inverses[i], rel_a)
+            rhs = compose_rel_rel(st, rel_b, inverses[i - 1])
             if not rel_leq(st, lhs, rhs):
                 return False
-            if bisim:
-                lhs = compose_rel_rel(st, cur, rels_b[s])
-                rhs = compose_rel_rel(st, rels_a[s], older)
-                if not rel_leq(st, lhs, rhs):
-                    return False
     return True
 
 
@@ -368,15 +351,15 @@ def prefix_norm(st: Structure, prefix: Sequence[FuzzyRelation],
                 a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str) -> float:
     """Meet of the per-component norms over a chain.
 
-    Equals the sequence norm when the chain has reached its fixpoint, and is
-    an upper bound otherwise (callers can tell the two apart via the result's
-    ``fixpoint_at``/``status``).
+    Each component's norm is :func:`sim_norm` or :func:`bisim_norm` (a
+    mis-shaped relation raises ``DimensionMismatch``). The meet equals the
+    sequence norm at a fixpoint and is an upper bound otherwise (callers can
+    tell the two apart via the result's ``fixpoint_at``/``status``).
     """
     if not prefix:
         raise ValueError("prefix must contain at least one relation")
-    bisim = canonical_mode(mode) == MODE_BISIM
-    return min(
-        _norm_from_grid(st, rel.degrees, a, b, bisim) for rel in prefix)
+    norm = bisim_norm if canonical_mode(mode) == MODE_BISIM else sim_norm
+    return min(norm(st, rel, a, b) for rel in prefix)
 
 
 def compose_prefixes(st: Structure, left: Sequence[FuzzyRelation],

@@ -39,16 +39,6 @@ class FuzzySet:
     def zeros(size: int) -> "FuzzySet":
         return FuzzySet((0.0,) * size)
 
-    @staticmethod
-    def from_support(size: int, entries: dict[int, float]) -> "FuzzySet":
-        degrees = [0.0] * size
-        for i, v in entries.items():
-            degrees[i] = v
-        return FuzzySet(tuple(degrees))
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.degrees) if v > 0.0)
-
     def is_empty(self) -> bool:
         return not any(v > 0.0 for v in self.degrees)
 

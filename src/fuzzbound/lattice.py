@@ -21,12 +21,15 @@ BinaryOp = Callable[[float, float], float]
 
 def validate_degree(value: float, what: str = "degree") -> float:
     """Return ``value`` if it is a real number in [0, 1], else raise."""
-    try:
-        if isinstance(value, bool):  # JSON true is not a degree
-            raise TypeError
-        v = float(value)
-    except (TypeError, ValueError):
-        raise DegreeRangeError(f"{what} must be a real number, got {value!r}") from None
+    v = value
+    if type(v) is not float:  # every cell of every relation passes here
+        try:
+            if isinstance(v, (bool, str)):  # JSON true or "0.5" is not a degree
+                raise TypeError
+            v = float(v)
+        except (TypeError, ValueError):
+            raise DegreeRangeError(
+                f"{what} must be a real number, got {value!r}") from None
     if not 0.0 <= v <= 1.0:
         raise DegreeRangeError(f"{what} must lie in [0, 1], got {v!r}")
     return v

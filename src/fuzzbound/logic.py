@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automata import FuzzyAutomaton, build_index
+from .automata import FuzzyAutomaton, build_index, pull_back
 from .errors import DialectError, FormulaSyntaxError
 from .fuzzy import FuzzyRelation, FuzzySet, compose_rel_set, inverse, set_leq
 from .lattice import Structure, validate_degree
@@ -249,24 +249,13 @@ def eval_formula(st: Structure, automaton: FuzzyAutomaton,
     residuum = st.residuum
     biresiduum = st.biresiduum
     succ = build_index(automaton).succ
-    n = automaton.num_states
 
     def walk(f: Formula) -> list[float]:
         if isinstance(f, Tau):
             return list(automaton.terminal.degrees)
         if isinstance(f, Dia):
-            s = automaton.symbol_index(f.symbol)
-            child = walk(f.child)
-            succ_s = succ[s]
-            out = []
-            for x in range(n):
-                best = 0.0
-                for y, d in succ_s[x]:
-                    v = tnorm(d, child[y])
-                    if v > best:
-                        best = v
-                out.append(best)
-            return out
+            succ_s = succ[automaton.symbol_index(f.symbol)]
+            return pull_back(tnorm, succ_s, walk(f.child))
         if isinstance(f, Imp):
             return [residuum(f.constant, v) for v in walk(f.child)]
         if isinstance(f, Equiv):

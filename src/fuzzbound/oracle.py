@@ -3,8 +3,9 @@
 The dense recurrence here recomputes depth-bounded (bi)simulation chains with
 straight quintuple loops and no early exit; it is the anti-bug oracle the
 optimized computation is compared against. The language verifiers enumerate
-every word up to a bound and check the preservation/invariance inequalities
-word by word.
+the words up to a bound once, each with the vector of degrees in which every
+state accepts it, and check the preservation/invariance inequalities word by
+word.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from typing import Optional
 from .automata import (
     FuzzyAutomaton,
     FuzzyRelation,
-    language_bounded,
-    pin_initial,
-    require_same_alphabet,
     bisim_norm,
+    build_index,
+    pull_back,
+    require_same_alphabet,
+    require_word_bound,
     sim_norm,
     DEFAULT_WORD_CAP,
 )
@@ -173,45 +175,46 @@ class VerificationReport:
                 "violations": [v.to_json() for v in self.violations]}
 
 
-def _language_tables(st: Structure, automaton: FuzzyAutomaton, n: int,
-                     cap: int) -> list[dict]:
-    """Bounded language of the automaton pinned at each state in turn."""
-    return [language_bounded(st, pin_initial(automaton, x), n, cap)
-            for x in range(automaton.num_states)]
-
-
 def _verify_languages(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
                       rel: FuzzyRelation, n: int, cap: int,
                       invariance: bool) -> VerificationReport:
     require_same_alphabet(a, b)
+    require_word_bound(a, n, cap)
+    tnorm = st.tnorm
     compare = st.biresiduum if invariance else st.residuum
     eps = st.eps_cmp
-    tables_a = _language_tables(st, a, n, cap)
-    tables_b = _language_tables(st, b, n, cap)
-    words = sorted(tables_a[0], key=lambda w: (len(w), w))
+    norm = (bisim_norm if invariance else sim_norm)(st, rel, a, b)
+    related = [(x, xp, value) for x, row in enumerate(rel.degrees)
+               for xp, value in enumerate(row) if value > eps]
+    succ_a = build_index(a).succ
+    succ_b = build_index(b).succ
     violations: list[Violation] = []
+    norm_violations: list[Violation] = []
 
-    for x in range(a.num_states):
-        lang_x = tables_a[x]
-        for xp in range(b.num_states):
-            value = rel.degrees[x][xp]
-            if value <= eps:
-                continue
-            lang_xp = tables_b[xp]
-            for word in words:
-                gap = compare(lang_x[word], lang_xp[word])
+    # Words by length, then lexicographically; each carries, per automaton,
+    # the degree in which every state accepts it, built backwards from the
+    # terminal set.
+    level = [((), a.terminal.degrees, b.terminal.degrees)]
+    for length in range(n + 1):
+        for word, va, vb in level:
+            for x, xp, value in related:
+                gap = compare(va[x], vb[xp])
                 if value > gap + eps:
                     violations.append(Violation(x, xp, word, value, gap))
+            if norm > eps:
+                # The automata's own degrees: initial set composed with vector.
+                gap = compare(max(map(tnorm, a.initial.degrees, va)),
+                              max(map(tnorm, b.initial.degrees, vb)))
+                if norm > gap + eps:
+                    norm_violations.append(Violation(None, None, word, norm, gap))
+        if length < n:
+            level = [((s,) + word, pull_back(tnorm, succ_a[s], va),
+                      pull_back(tnorm, succ_b[s], vb))
+                     for s in range(a.num_symbols) for word, va, vb in level]
 
-    norm = (bisim_norm if invariance else sim_norm)(st, rel, a, b)
-    if norm > eps:
-        lang_a = language_bounded(st, a, n, cap)
-        lang_b = language_bounded(st, b, n, cap)
-        for word in words:
-            gap = compare(lang_a[word], lang_b[word])
-            if norm > gap + eps:
-                violations.append(Violation(None, None, word, norm, gap))
-
+    # Report per state pair, each pair's words in enumeration order (stable).
+    violations.sort(key=lambda v: (v.x, v.xp))
+    violations += norm_violations
     return VerificationReport(ok=not violations, violations=tuple(violations))
 
 

@@ -12,7 +12,6 @@ from fuzzbound import (
     build_index,
     language_bounded,
     language_eval,
-    pin_initial,
     sim_norm,
     structure,
     word_from_names,
@@ -32,6 +31,11 @@ class TestModel:
     def test_rejects_zero_degree_transition(self):
         with pytest.raises(DegreeRangeError):
             FuzzyAutomaton.build(["s"], ["q"], {}, {}, [("q", "s", "q", 0.0)])
+
+    @pytest.mark.parametrize("degree", [True, "0.5"])
+    def test_rejects_non_numeric_transition_degree(self, degree):
+        with pytest.raises(DegreeRangeError):
+            FuzzyAutomaton.build(["s"], ["q"], {}, {}, [("q", "s", "q", degree)])
 
     def test_rejects_duplicate_transition(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -163,29 +167,6 @@ class TestLanguage:
             language_bounded(structure("godel"), a, 4, cap=16)
 
 
-class TestPinInitial:
-    def test_already_pinned(self):
-        a, _ = chain_pair()
-        assert pin_initial(a, 0).initial == a.initial
-
-    def test_pin_other_state(self):
-        a, _ = chain_pair()
-        pinned = pin_initial(a, 1)
-        assert pinned.initial == FuzzySet((0.0, 1.0))
-        assert pinned.transitions == a.transitions
-        assert pinned.terminal == a.terminal
-
-    def test_pinned_language(self, st):
-        a, _ = chain_pair()
-        assert language_eval(st, pin_initial(a, 1), (0,)) == pytest.approx(
-            0.5, abs=1e-9)
-
-    def test_out_of_range(self):
-        a, _ = chain_pair()
-        with pytest.raises(IndexError):
-            pin_initial(a, 2)
-
-
 class TestNorms:
     def test_sim_norm_godel(self):
         a, b = chain_pair()
@@ -252,6 +233,16 @@ class TestJson:
     def test_rejects_boolean_transition_degree(self):
         doc = automaton_to_json(chain_pair()[0])
         doc["transitions"][0]["degree"] = True
+        with pytest.raises(InputFormatError):
+            automaton_from_json(doc)
+
+    @pytest.mark.parametrize("where", ["initial", "terminal", "transition"])
+    def test_rejects_string_degree(self, where):
+        doc = automaton_to_json(chain_pair()[0])
+        if where == "transition":
+            doc["transitions"][0]["degree"] = "0.5"
+        else:
+            doc[where] = {"u": "1"}
         with pytest.raises(InputFormatError):
             automaton_from_json(doc)
 

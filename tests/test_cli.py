@@ -96,6 +96,14 @@ class TestDepthBounded:
         assert run(["dbsim", "--left", left, "--right", right,
                     "--depth", "1", "--tnorm", "hamacher"]) == 1
 
+    @pytest.mark.parametrize("target", ["missing/out.json", "."])
+    def test_unwritable_output(self, files, tmp_path, capsys, target):
+        left, right = files
+        path = str(tmp_path / target)
+        assert run(["dbsim", "--left", left, "--right", right, "--depth", "1",
+                    "--output", path]) == 1
+        assert capsys.readouterr().err.startswith(f"fuzzbound: cannot write {path}: ")
+
     def test_output_file_and_determinism(self, files, tmp_path, capsys):
         left, right = files
         out1 = tmp_path / "r1.json"
@@ -244,6 +252,25 @@ class TestLang:
         assert run(["lang", "--left", left]) == 1
         assert run(["lang", "--left", left, "--word", "s",
                     "--max-len", "2"]) == 1
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("transitions", 5, "transitions"),
+        ("alphabet", 5, "alphabet"),
+        ("states", 5, "states"),
+        ("initial", [1, 2], "initial"),
+        ("states", [["x"]], "states"),
+        ("alphabet", [["x"]], "alphabet"),
+        ("transitions",
+         [{"from": [1], "symbol": "s", "to": "v", "degree": 0.4}], "from"),
+    ])
+    def test_malformed_automaton_is_input_error(self, tmp_path, capsys,
+                                                key, value, named):
+        doc = automaton_to_json(chain_automaton())
+        doc[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["lang", "--left", str(path), "--word", "s"]) == 1
+        assert f"'{named}'" in capsys.readouterr().err
 
     def test_word_cap_exit_code(self, tmp_path):
         doc = {

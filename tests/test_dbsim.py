@@ -180,6 +180,15 @@ class TestDefinitionCheckers:
         assert check_bisim(structure("lukasiewicz"), a, b,
                            rel2({(0, 0): 0.5, (0, 1): 0.2, (1, 1): 0.5}))
 
+    def test_bisim_checker_rejects_failing_inverse(self):
+        # A simulation whose inverse is not one: only the mirrored direction
+        # fails.
+        a, b = chain_pair()
+        st = structure("godel")
+        rel = rel2({(0, 0): 1, (0, 1): 1, (1, 1): 0.4})
+        assert check_sim(st, a, b, rel)
+        assert not check_bisim(st, a, b, rel)
+
     def test_shape_mismatch(self, st):
         a, b = chain_pair()
         with pytest.raises(DimensionMismatch):
@@ -198,6 +207,12 @@ class TestDefinitionCheckers:
             assert check_dbsim_prefix(st, a, b, sim.prefix)
             bis = compute_dbbisim(st, a, b, 5, trace=True)
             assert check_dbbisim_prefix(st, a, b, bis.prefix)
+
+    def test_simulation_chain_is_not_a_bisimulation_chain(self, st):
+        a, b = chain_pair()
+        chain = compute_dbsim(st, a, b, 4, trace=True).prefix
+        assert check_dbsim_prefix(st, a, b, chain)
+        assert not check_dbbisim_prefix(st, a, b, chain)
 
     def test_increasing_chain_rejected(self, st):
         a, b = chain_pair()
@@ -307,10 +322,27 @@ class TestPrefixNorm:
                 1.0, abs=1e-9)
 
     def test_norm_agrees_with_result_norms(self, st):
+        # prefix_norm is computed by sim_norm/bisim_norm, independently of
+        # the per-round norm the computation records.
+        pairs = [chain_pair()] + [random_pair(seed, num_states=seed % 4 + 1)
+                                  for seed in range(6)]
+        for a, b in pairs:
+            for mode, compute in (("sim", compute_dbsim),
+                                  ("bisim", compute_dbbisim)):
+                result = compute(st, a, b, 6, trace=True)
+                assert prefix_norm(st, result.prefix, a, b, mode) == pytest.approx(
+                    min(result.norms), abs=1e-12)
+                per_component = [prefix_norm(st, [rel], a, b, mode)
+                                 for rel in result.prefix]
+                assert per_component == pytest.approx(list(result.norms), abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (1, 2)])
+    @pytest.mark.parametrize("mode", ["sim", "bisim"])
+    def test_shape_mismatch(self, shape, mode):
         a, b = chain_pair()
-        result = compute_dbbisim(st, a, b, 6, trace=True)
-        assert prefix_norm(st, result.prefix, a, b, "bisim") == pytest.approx(
-            min(result.norms), abs=1e-12)
+        rel = FuzzyRelation(*shape, tuple((0.5,) * shape[1] for _ in range(shape[0])))
+        with pytest.raises(DimensionMismatch):
+            prefix_norm(structure("godel"), [rel], a, b, mode)
 
 
 class TestComposePrefixes:

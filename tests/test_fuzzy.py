@@ -197,6 +197,8 @@ class TestJson:
             relation_from_json({"rows": 2, "cols": 2, "entries": [[0, 1]]})
         with pytest.raises(DegreeRangeError):
             relation_from_json({"rows": 1, "cols": 1, "entries": [[0, 0, 1.4]]})
+        with pytest.raises(DegreeRangeError):
+            relation_from_json({"rows": 1, "cols": 1, "entries": [[0, 0, "0.5"]]})
 
     @pytest.mark.parametrize("entry", [[0.7, 1.9, 0.5], [0, 1.0, 0.5],
                                        [True, 0, 0.5], [0, "1", 0.5]])

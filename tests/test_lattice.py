@@ -165,3 +165,6 @@ class TestConstruction:
             validate_degree("high")
         with pytest.raises(DegreeRangeError):
             validate_degree(True)
+        for text in ("0.5", "1"):
+            with pytest.raises(DegreeRangeError):
+                validate_degree(text)

@@ -12,12 +12,11 @@ from fuzzbound import (
     greatest_fixpoint,
     language_bounded,
     naive_dbsim,
-    pin_initial,
     structure,
     verify_language_invariance,
     verify_language_preservation,
 )
-from fuzzbound.errors import AlphabetMismatch
+from fuzzbound.errors import AlphabetMismatch, DimensionMismatch
 from fuzzbound.oracle import RandomAutomatonSpec
 
 from conftest import assert_rel_close, chain_pair, loop_pair
@@ -132,8 +131,10 @@ class TestLanguagePreservation:
         a, b = loop_pair(0.1)
         rel = compute_dbsim(st, a, b, 3).relation
         assert rel.degrees[0][0] == pytest.approx(0.9 ** 3, abs=1e-12)
-        bounded_a = language_bounded(st, pin_initial(a, 0), 3)
-        bounded_b = language_bounded(st, pin_initial(b, 0), 3)
+        # Each automaton is initial in degree 1 at its only state, so its
+        # language is the language of that state.
+        bounded_a = language_bounded(st, a, 3)
+        bounded_b = language_bounded(st, b, 3)
         words = sorted(bounded_a)
         inclusion = min(
             st.residuum(bounded_a[w], bounded_b[w]) for w in words)
@@ -148,9 +149,21 @@ class TestLanguagePreservation:
         assert not report.ok
         witness = report.violations[0]
         assert witness.lhs > witness.rhs
+        # Per state pair, words by length then lexicographically; norm-level
+        # entries last.
+        order = [(v.x is None, v.x or 0, v.xp or 0, len(v.word), v.word)
+                 for v in report.violations]
+        assert order == sorted(order) and order[-1][0]
         doc = json.loads(json.dumps(report.to_json()))
         assert doc["ok"] is False
         assert {"x", "xp", "word", "lhs", "rhs"} <= set(doc["violations"][0])
+
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 2)])
+    def test_shape_mismatch(self, shape):
+        a, b = chain_pair()
+        rel = FuzzyRelation(*shape, tuple((0.5,) * shape[1] for _ in range(shape[0])))
+        with pytest.raises(DimensionMismatch):
+            verify_language_preservation(structure("godel"), a, b, rel, 2)
 
 
 class TestLanguageInvariance:
