@@ -191,8 +191,6 @@ def _cmd_greatest(args: argparse.Namespace, st: Structure) -> dict:
     right = _load_automaton(args.right)
     if args.max_iters < 1:
         raise InputFormatError("--max-iters must be >= 1")
-    if args.tol < 0:
-        raise InputFormatError("--tol must be >= 0")
     result = greatest_fixpoint(st, left, right, args.mode,
                                max_iters=args.max_iters, tol=args.tol,
                                trace=args.trace)

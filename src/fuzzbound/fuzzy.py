@@ -68,6 +68,15 @@ class FuzzyRelation:
         r, c = pair
         return self.degrees[r][c]
 
+    @classmethod
+    def trusted(cls, rows: int, cols: int,
+                degrees: tuple[tuple[float, ...], ...]) -> "FuzzyRelation":
+        """A relation over a tuple grid of the given shape whose every cell
+        the caller has already validated; nothing is checked here."""
+        rel = object.__new__(cls)
+        rel.__dict__.update(rows=rows, cols=cols, degrees=degrees)
+        return rel
+
     @staticmethod
     def empty(rows: int, cols: int) -> "FuzzyRelation":
         return FuzzyRelation(rows, cols)

@@ -10,6 +10,7 @@ assumption, not a runtime check.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from .errors import DegreeRangeError
@@ -73,8 +74,8 @@ class Structure:
 
     def __init__(self, kind: str, tnorm: BinaryOp, residuum: BinaryOp,
                  eps_cmp: float = DEFAULT_EPS):
-        if eps_cmp < 0.0:
-            raise ValueError(f"eps_cmp must be >= 0, got {eps_cmp!r}")
+        if not 0.0 <= eps_cmp < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"eps_cmp must be a finite number >= 0, got {eps_cmp!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "tnorm", tnorm)
         object.__setattr__(self, "residuum", residuum)

@@ -150,6 +150,14 @@ class TestGreatest:
         assert code == 0
         assert doc["phi_k_by_name"]["u"]["u'"] == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tol_is_input_error(self, files, capsys, tol):
+        left, right = files
+        code = run(["greatest", "--left", left, "--right", right,
+                    "--tol", tol])
+        assert code == 1
+        assert "tol must be a finite number >= 0" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_simulation_relation(self, files, tmp_path, capsys):
@@ -226,6 +234,21 @@ class TestCheck:
         _, strict = run_json(capsys, argv)
         _, loose = run_json(capsys, argv + ["--eps", "0.01"])
         assert strict["ok"] is False and loose["ok"] is True
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_bad_eps_is_input_error(self, files, tmp_path, capsys, eps):
+        # A NaN tolerance failed every comparison (a valid chain checked
+        # "ok": false) and an infinite one passed every check.
+        left, right = files
+        trace_file = tmp_path / "trace.json"
+        assert run(["dbsim", "--left", left, "--right", right, "--depth", "3",
+                    "--trace", "--output", str(trace_file)]) == 0
+        code = run(["check", "--left", left, "--right", right,
+                    "--relation", str(trace_file), "--mode", "dbsim",
+                    "--eps", eps])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "eps_cmp must be a finite number >= 0" in err
 
 
 class TestLang:

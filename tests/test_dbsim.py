@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fuzzbound import (
+    FuzzyAutomaton,
     FuzzyRelation,
     check_bisim,
     check_dbbisim_prefix,
@@ -11,12 +12,13 @@ from fuzzbound import (
     compose_prefixes,
     compute_dbbisim,
     compute_dbsim,
+    custom_structure,
     greatest_fixpoint,
     prefix_norm,
     rel_leq,
     structure,
 )
-from fuzzbound.errors import AlphabetMismatch, DimensionMismatch
+from fuzzbound.errors import AlphabetMismatch, DegreeRangeError, DimensionMismatch
 from fuzzbound.oracle import RandomAutomatonSpec, generate_automaton
 
 from conftest import assert_rel_close, chain_pair, loop_pair
@@ -296,6 +298,35 @@ class TestGreatestFixpoint:
         with pytest.raises(ValueError):
             greatest_fixpoint(st, a, b, "similarity")
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_bad_tol(self, tol):
+        a, b = chain_pair()
+        other = FuzzyAutomaton.build(["t"], ["w"], {"w": 1.0}, {}, [])
+        # Refused before the automata are looked at.
+        for right in (b, other):
+            with pytest.raises(ValueError, match="tol must be a finite number"):
+                greatest_fixpoint(structure("godel"), a, right, "sim", tol=tol)
+
+    def test_tol_bounds_single_lowerings(self):
+        # In round 1 the s- and t-constraints lower phi(p, p') 1.0 -> 0.9 ->
+        # 0.8: each lowering is within tol, the two together are not. The
+        # tolerance applies to each lowering, so the iteration stops there.
+        transitions = [("p", "s", "q", 1.0), ("p", "t", "q", 1.0),
+                       ("q", "s", "q", 1.0), ("q", "t", "q", 1.0)]
+        a = FuzzyAutomaton.build(["s", "t"], ["p", "q"], {"p": 1.0},
+                                 {"q": 1.0}, transitions)
+        b = FuzzyAutomaton.build(
+            ["s", "t"], ["p'", "q'"], {"p'": 1.0}, {"q'": 1.0},
+            [("p'", "s", "q'", 0.9), ("p'", "t", "q'", 0.8),
+             ("q'", "s", "q'", 1.0), ("q'", "t", "q'", 1.0)])
+        result = greatest_fixpoint(structure("godel"), a, b, "sim", tol=0.15)
+        assert result.status == "tol" and result.fixpoint_at is None
+        assert len(result.norms) == 2
+        assert result.relation.degrees[0][0] == 0.8
+        # Without the tolerance, the next round is the fixpoint.
+        exact = greatest_fixpoint(structure("godel"), a, b, "sim", tol=0.0)
+        assert exact.status == "fixpoint" and exact.fixpoint_at == 1
+
 
 class TestPrefixNorm:
     def test_simulation_norms(self):
@@ -406,6 +437,25 @@ class TestCustomStructure:
                     assert_rel_close(result.component(step), rel, tol=1e-12)
             assert check_dbsim_prefix(
                 st, a, b, compute_dbsim(st, a, b, 5, trace=True).prefix)
+
+    def test_degree_below_zero_after_first_round_is_refused(self):
+        # A residuum that maps 0.4 to 0.35 and 0.35 out of range. 0.35 is
+        # first a bound in round 2, which lowers few of the cells, so only
+        # the cells that round writes are validated when it is frozen.
+        special = {0.4: 0.35, 0.35: -0.5}
+        st = custom_structure(
+            tnorm=min,
+            residuum=lambda x, y: 1.0 if x <= y else special.get(y, y))
+        idle = [f"i{n}" for n in range(30)]
+        a = FuzzyAutomaton.build(
+            ["s"], ["p", "q", "r"] + idle, {"p": 1.0}, {"r": 1.0},
+            [("p", "s", "q", 1.0), ("q", "s", "r", 1.0)])
+        b = FuzzyAutomaton.build(
+            ["s"], ["p'", "q'", "r'"], {"p'": 1.0}, {"r'": 0.5},
+            [("p'", "s", "q'", 1.0), ("q'", "s", "r'", 0.4)])
+        assert compute_dbsim(st, a, b, 1).relation.degrees[1][1] == 0.35
+        with pytest.raises(DegreeRangeError, match="-0.5"):
+            compute_dbsim(st, a, b, 2)
 
     def test_adjunction_spot_check(self):
         st = self.nilpotent_minimum()

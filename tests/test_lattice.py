@@ -135,6 +135,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             structure("godel", eps_cmp=-1.0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            structure("godel", eps_cmp=eps)
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            custom_structure(min, lambda x, y: 1.0 if x <= y else y, eps)
+
     def test_eps_is_configurable(self):
         wide = structure("godel", eps_cmp=0.1)
         assert wide.approx(0.95, 1.0)

@@ -87,30 +87,51 @@ class TestNaiveRecurrence:
                 num_states=states, num_symbols=2,
                 transition_density=density, seed=seed))
 
+        def cycle(prime, end):
+            # One-symbol cycle c0 -> c1 -> ... -> c7 -> c0 of degree 1; c0 is
+            # initial, and terminal in degree `end`.
+            names = [f"c{i}{prime}" for i in range(8)]
+            others = 0.0 if prime == "" else 1.0
+            return FuzzyAutomaton.build(
+                ["s"], names, {names[0]: 1.0},
+                {name: end if i == 0 else others for i, name in enumerate(names)},
+                [(x, "s", y, 1.0) for x, y in zip(names, names[1:] + names[:1])])
+
         pairs = [(random_automaton(4, 0.5, seed),
-                  random_automaton(5, 0.5, seed + 1000)) for seed in range(30)]
+                  random_automaton(5, 0.5, seed + 1000), 6) for seed in range(30)]
         # Edge shapes, where the kernel's transposes would show shape bugs:
         # one state on either side, no transitions, an empty alphabet.
         no_symbols = [FuzzyAutomaton.build(
             [], states, {states[0]: 1.0}, {states[-1]: 0.6}, [])
             for states in (["p", "q", "r"], ["x", "y"])]
         pairs += [
-            (random_automaton(1, 1.0, 1), random_automaton(1, 1.0, 2)),
-            (random_automaton(1, 1.0, 3), random_automaton(5, 0.5, 4)),
-            (random_automaton(4, 0.5, 5), random_automaton(1, 1.0, 6)),
-            (random_automaton(3, 0.0, 7), random_automaton(4, 0.0, 8)),
-            (random_automaton(3, 0.0, 9), random_automaton(2, 0.7, 10)),
-            tuple(no_symbols),
+            (random_automaton(1, 1.0, 1), random_automaton(1, 1.0, 2), 6),
+            (random_automaton(1, 1.0, 3), random_automaton(5, 0.5, 4), 6),
+            (random_automaton(4, 0.5, 5), random_automaton(1, 1.0, 6), 6),
+            (random_automaton(3, 0.0, 7), random_automaton(4, 0.0, 8), 6),
+            (random_automaton(3, 0.0, 9), random_automaton(2, 0.7, 10), 6),
+            (*no_symbols, 6),
         ]
-        for a, b in pairs:
+        # Rounds after the first that lower few cells, so later rounds
+        # revisit only some pairs: sparse pairs, and a cycle pair where one
+        # lowered cell (c0, c0') travels one step back per round.
+        pairs += [(random_automaton(10 + seed % 2, 0.15, 40 + seed),
+                   random_automaton(11 - seed % 2, 0.15, 50 + seed), 10)
+                  for seed in range(6)]
+        pairs.append((cycle("", 1.0), cycle("'", 0.5), 10))
+        for a, b, depth in pairs:
             for mode, compute in (("sim", compute_dbsim),
                                   ("bisim", compute_dbbisim)):
-                expected = naive_dbsim(st, a, b, 6, mode)
-                result = compute(st, a, b, 6, trace=True)
+                expected = naive_dbsim(st, a, b, depth, mode)
+                result = compute(st, a, b, depth, trace=True)
+                fixed = greatest_fixpoint(st, a, b, mode, max_iters=depth,
+                                          trace=True)
                 for step, rel in enumerate(expected):
                     # Same lattice operations on the same operands: the
                     # chains agree bit for bit.
                     assert result.component(step) == rel
+                    if step <= fixed.last_step or fixed.fixpoint_at is not None:
+                        assert fixed.component(step) == rel
 
 
 class TestLanguagePreservation:
