@@ -16,6 +16,7 @@ from typing import Callable
 from .errors import DegreeRangeError
 
 DEFAULT_EPS = 1e-9
+_MIN_NORMAL = 2.0 ** -1022  # smallest positive normal float
 
 BinaryOp = Callable[[float, float], float]
 
@@ -60,7 +61,14 @@ def _product_tnorm(x: float, y: float) -> float:
 
 def _product_residuum(x: float, y: float) -> float:
     # x = 0 falls under x <= y, so the division is never by zero.
-    return 1.0 if x <= y else y / x
+    if x <= y:
+        return 1.0
+    if x >= _MIN_NORMAL:
+        return y / x
+    # Subnormal x: the t-norm x * t rounds to a multiple of 2**-1074, so
+    # x * t <= y holds in floats up to t = (y + 2**-1075) / x, not y / x
+    # (e.g. 5e-324 * 0.5 == 0.0). Scaled by 2**1074 both are exact integers.
+    return (math.ldexp(y, 1074) + 0.5) / math.ldexp(x, 1074)
 
 
 class Structure:

@@ -43,6 +43,13 @@ class TestGoldenValues:
         assert structure("product").residuum(0.9, 0.8) == pytest.approx(8 / 9, abs=EPS)
         assert structure("product").residuum(0.0, 0.0) == 1.0
 
+    def test_residuum_product_subnormal(self):
+        # 0.5 * 5e-324 underflows to 0.0, so the adjoint residuum must reach 0.5.
+        prod = structure("product")
+        assert prod.tnorm(0.5, 5e-324) == 0.0
+        assert prod.residuum(5e-324, 0.0) == 0.5
+        assert prod.residuum(0.5, 0.0) == 0.0
+
     def test_biresiduum(self, st):
         assert st.biresiduum(0.37, 0.37) == 1.0
 
