@@ -128,8 +128,11 @@ class FuzzyAutomaton:
 
     def symbol_relation(self, s: int) -> FuzzyRelation:
         """The dense relation of one symbol's transitions."""
-        return FuzzyRelation.from_entries(
-            self.num_states, self.num_states, self.transitions[s])
+        n = self.num_states
+        grid = [[0.0] * n for _ in range(n)]
+        for x, y, d in self.transitions[s]:  # validated in __post_init__
+            grid[x][y] = d
+        return FuzzyRelation.trusted(n, n, tuple(map(tuple, grid)))
 
 
 @dataclass(frozen=True)

@@ -197,15 +197,15 @@ def _cmd_greatest(args: argparse.Namespace, st: Structure) -> dict:
     return _result_doc(result, left, right)
 
 
-def _load_prefix(doc) -> list[FuzzyRelation]:
+def _load_prefix(doc, shape: tuple[int, int]) -> list[FuzzyRelation]:
     if isinstance(doc, dict) and "trace" in doc:
         doc = doc["trace"]
     if isinstance(doc, dict):
-        return [relation_from_json(doc)]
+        return [relation_from_json(doc, shape)]
     if isinstance(doc, list):
         if not doc:
             raise InputFormatError("prefix file contains no relations")
-        return [relation_from_json(item) for item in doc]
+        return [relation_from_json(item, shape) for item in doc]
     raise InputFormatError("relation file must hold an object or an array")
 
 
@@ -213,15 +213,17 @@ def _cmd_check(args: argparse.Namespace, st: Structure) -> dict:
     left = _load_automaton(args.left)
     right = _load_automaton(args.right)
     doc = _load_json(args.relation)
+    # A declared shape is compared with the automata before any grid exists.
+    shape = (left.num_states, right.num_states)
     if args.mode in ("sim", "bisim"):
         if not isinstance(doc, dict) or "trace" in doc:
             raise InputFormatError(
                 f"--mode {args.mode} expects a single relation object")
-        rel = relation_from_json(doc)
+        rel = relation_from_json(doc, shape)
         checker = check_sim if args.mode == "sim" else check_bisim
         ok = checker(st, left, right, rel)
     else:
-        prefix = _load_prefix(doc)
+        prefix = _load_prefix(doc, shape)
         checker = check_dbsim_prefix if args.mode == "dbsim" else check_dbbisim_prefix
         ok = checker(st, left, right, prefix)
     return {"mode": args.mode, "ok": ok}

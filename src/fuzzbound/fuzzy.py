@@ -8,7 +8,9 @@ operations treat their inputs as immutable and return fresh values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from itertools import repeat
+from operator import add, le
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, InputFormatError
 from .lattice import Structure, validate_degree
@@ -116,23 +118,30 @@ def _require_same_shape(a: FuzzyRelation, b: FuzzyRelation) -> None:
 
 def compose_rel_rel(st: Structure, left: FuzzyRelation,
                     right: FuzzyRelation) -> FuzzyRelation:
-    """Sup-t-norm relation product: (left o right)(a, c) = sup_b left(a,b) (x) right(b,c)."""
+    """Sup-t-norm relation product: (left o right)(a, c) = sup_b left(a,b) (x) right(b,c).
+
+    Only positive cells are paired, so the cost is the number of pairs of a
+    positive left(a, b) with a positive right(b, c). This assumes the
+    t-norm's zero law x (x) 0 = 0, which every t-norm satisfies: a term with
+    a zero factor cannot raise a supremum that starts at 0. Each output cell
+    sees its positive terms in ascending b, as in the dense product.
+    """
     if left.cols != right.rows:
         raise DimensionMismatch(
             f"cannot compose {left.rows}x{left.cols} with {right.rows}x{right.cols}")
     tnorm = st.tnorm
+    positive = [[(c, v) for c, v in enumerate(row) if v > 0.0]
+                for row in right.degrees]
     out = []
     for row in left.degrees:
-        out_row = []
-        for c in range(right.cols):
-            best = 0.0
-            for b, lv in enumerate(row):
-                if lv > 0.0:
-                    v = tnorm(lv, right.degrees[b][c])
-                    if v > best:
-                        best = v
-            out_row.append(best)
-        out.append(tuple(out_row))
+        best = [0.0] * right.cols
+        for lv, cells in zip(row, positive):
+            if lv > 0.0:
+                for c, rv in cells:
+                    v = tnorm(lv, rv)
+                    if v > best[c]:
+                        best[c] = v
+        out.append(tuple(best))
     return FuzzyRelation(left.rows, right.cols, tuple(out))
 
 
@@ -174,10 +183,9 @@ def compose_rel_set(st: Structure, rel: FuzzyRelation, g: FuzzySet) -> FuzzySet:
 
 def inverse(rel: FuzzyRelation) -> FuzzyRelation:
     """Transpose: inverse(rel)(b, a) = rel(a, b)."""
-    return FuzzyRelation(
-        rel.cols, rel.rows,
-        tuple(tuple(rel.degrees[r][c] for r in range(rel.rows))
-              for c in range(rel.cols)))
+    # zip(*()) has no rows at all; a 0 x n relation inverts to n empty rows.
+    degrees = tuple(zip(*rel.degrees)) if rel.rows else ((),) * rel.cols
+    return FuzzyRelation.trusted(rel.cols, rel.rows, degrees)
 
 
 def subset_degree(st: Structure, g: FuzzySet, f: FuzzySet) -> float:
@@ -198,19 +206,24 @@ def equal_degree(st: Structure, g: FuzzySet, f: FuzzySet) -> float:
                default=1.0)
 
 
+def _leq_row(eps: float, xs: Sequence[float], ys: Sequence[float]) -> bool:
+    # Structure.leq, x <= y + eps, over a row in C-level maps.
+    return all(map(le, xs, map(add, ys, repeat(eps))))
+
+
 def set_leq(st: Structure, g: FuzzySet, f: FuzzySet) -> bool:
     """Pointwise g <= f within the comparison tolerance."""
     if g.size != f.size:
         raise DimensionMismatch(f"sets have sizes {g.size} and {f.size}")
-    return all(st.leq(gv, fv) for gv, fv in zip(g.degrees, f.degrees))
+    return _leq_row(st.eps_cmp, g.degrees, f.degrees)
 
 
 def rel_leq(st: Structure, a: FuzzyRelation, b: FuzzyRelation) -> bool:
     """Pointwise a <= b within the comparison tolerance."""
     _require_same_shape(a, b)
-    return all(st.leq(av, bv)
-               for arow, brow in zip(a.degrees, b.degrees)
-               for av, bv in zip(arow, brow))
+    eps = st.eps_cmp
+    return all(_leq_row(eps, arow, brow)
+               for arow, brow in zip(a.degrees, b.degrees))
 
 
 def relation_to_json(rel: FuzzyRelation) -> dict:
@@ -229,7 +242,10 @@ def _json_index(value, what: str) -> int:
     return value
 
 
-def relation_from_json(doc: dict) -> FuzzyRelation:
+def relation_from_json(doc: dict,
+                       shape: Optional[tuple[int, int]] = None) -> FuzzyRelation:
+    """Parse the sparse JSON form. Given ``shape``, a document that declares
+    any other shape raises ``DimensionMismatch`` before any cell is built."""
     if not isinstance(doc, dict):
         raise InputFormatError("relation document must be a JSON object")
     try:
@@ -239,14 +255,24 @@ def relation_from_json(doc: dict) -> FuzzyRelation:
         raise InputFormatError(f"malformed relation document: {exc}") from None
     if rows < 0 or cols < 0:
         raise InputFormatError(f"relation shape must be >= 0, got {rows}x{cols}")
+    if shape is not None and (rows, cols) != shape:
+        raise DimensionMismatch(
+            f"relation is {rows}x{cols}, expected {shape[0]}x{shape[1]}")
     raw = doc.get("entries", [])
     if not isinstance(raw, (list, tuple)):
         raise InputFormatError("relation entries must be a JSON array")
-    entries: list[tuple[int, int, float]] = []
+    grid = [[0.0] * cols for _ in range(rows)]
+    outside = None  # the first entry out of bounds, reported after the rest parse
     for item in raw:
         if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise InputFormatError(f"malformed relation entry {item!r}")
-        entries.append((_json_index(item[0], "entry row"),
-                        _json_index(item[1], "entry column"),
-                        validate_degree(item[2], "relation degree")))
-    return FuzzyRelation.from_entries(rows, cols, entries)
+        r = _json_index(item[0], "entry row")
+        c = _json_index(item[1], "entry column")
+        v = validate_degree(item[2], "relation degree")
+        if 0 <= r < rows and 0 <= c < cols:
+            grid[r][c] = v
+        elif outside is None:
+            outside = (r, c)
+    if outside is not None:
+        raise DimensionMismatch(f"entry {outside} outside a {rows}x{cols} relation")
+    return FuzzyRelation.trusted(rows, cols, tuple(map(tuple, grid)))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -210,6 +211,23 @@ class TestCheck:
         rel.write_text(json.dumps({"rows": 3, "cols": 2, "entries": []}))
         assert run(["check", "--left", left, "--right", right,
                     "--relation", str(rel), "--mode", "sim"]) == 2
+        # The declared shape is compared with the automata before any grid
+        # is built (a 2000x2000 grid of floats would take 32 MB) and before
+        # any entry is read, so a malformed entry does not make it exit 1.
+        big = {"rows": 2000, "cols": 2000, "entries": [[0, 0, 0.5]]}
+        malformed = {**big, "entries": [[0, 0, 0.5], "x"]}
+        for mode, doc in (("sim", big), ("dbsim", [big]),
+                          ("dbbisim", {"trace": [malformed]})):
+            rel.write_text(json.dumps(doc))
+            tracemalloc.start()
+            try:
+                code = run(["check", "--left", left, "--right", right,
+                            "--relation", str(rel), "--mode", mode])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2
+            assert peak < 2_000_000, f"{mode}: peak {peak} bytes"
 
     @pytest.mark.parametrize("doc", [
         {"rows": -1, "cols": 2, "entries": []},

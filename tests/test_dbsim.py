@@ -252,6 +252,28 @@ class TestDefinitionCheckers:
                 for low, high in zip(lowered, result.prefix):
                     assert rel_leq(st, low, high)
 
+    def test_check_cost_grows_like_a_round(self):
+        # t-norm calls, not time: the composition pairs only positive cells,
+        # so a check costs about n^2 x out-degree, and doubling n should
+        # multiply the count by about 4 (a dense composition gives 8).
+        calls = [0]
+        luk = structure("lukasiewicz")
+
+        def counted(x, y):
+            calls[0] += 1
+            return luk.tnorm(x, y)
+
+        st = custom_structure(counted, luk.residuum)
+        counts = []
+        for n in (50, 100, 200):
+            a, b = random_pair(n, num_states=n, num_symbols=2, density=3 / n)
+            prefix = compute_dbsim(luk, a, b, 4, trace=True).prefix
+            calls[0] = 0
+            assert check_dbsim_prefix(st, a, b, prefix)
+            counts.append(calls[0])
+        for small, large in zip(counts, counts[1:]):
+            assert large <= 5 * small, counts
+
 
 class TestGreatestFixpoint:
     def test_godel_simulation(self):

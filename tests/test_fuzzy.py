@@ -8,6 +8,7 @@ from fuzzbound import (
     compose_rel_rel,
     compose_rel_set,
     compose_set_rel,
+    custom_structure,
     equal_degree,
     inverse,
     rel_leq,
@@ -28,6 +29,37 @@ def random_relation(rng, rows, cols):
     return FuzzyRelation(
         rows, cols,
         tuple(tuple(rng.choice(GRID) for _ in range(cols)) for _ in range(rows)))
+
+
+def sparse_relation(rng, rows, cols):
+    """Most cells 0, some rows all 0: the shape of a transition relation."""
+    return FuzzyRelation(rows, cols, tuple(
+        tuple(rng.choice(GRID) if rng.random() < 0.2 else 0.0 for _ in range(cols))
+        if rng.random() < 0.8 else (0.0,) * cols
+        for _ in range(rows)))
+
+
+def dense_compose(st, left, right):
+    """The dense triple loop: every (row, col, b) term in ascending b."""
+    out = []
+    for row in left.degrees:
+        out_row = []
+        for c in range(right.cols):
+            best = 0.0
+            for b, lv in enumerate(row):
+                if lv > 0.0:
+                    v = st.tnorm(lv, right.degrees[b][c])
+                    if v > best:
+                        best = v
+            out_row.append(best)
+        out.append(tuple(out_row))
+    return FuzzyRelation(left.rows, right.cols, tuple(out))
+
+
+# Nilpotent minimum: a t-norm that is neither continuous nor strict.
+NILPOTENT_MINIMUM = custom_structure(
+    lambda x, y: min(x, y) if x + y > 1.0 else 0.0,
+    lambda x, y: 1.0 if x <= y else max(1.0 - x, y))
 
 
 def random_set(rng, size):
@@ -73,6 +105,33 @@ class TestCompose:
     def test_dimension_mismatch(self, st):
         with pytest.raises(DimensionMismatch):
             compose_rel_rel(st, FuzzyRelation.empty(2, 3), FuzzyRelation.empty(2, 3))
+
+    @pytest.mark.parametrize("name", ["godel", "lukasiewicz", "product",
+                                      "nilpotent-minimum"])
+    def test_equals_dense_product(self, name):
+        # Pairing only positive cells leaves out terms with a zero factor;
+        # every cell must still be bit-identical to the dense triple loop.
+        st = NILPOTENT_MINIMUM if name == "nilpotent-minimum" else structure(name)
+        rng = random.Random(20)
+        shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1)]
+        shapes += [(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6))
+                   for _ in range(60)]
+        for rows, inner, cols in shapes:
+            for make_left, make_right in ((sparse_relation, random_relation),
+                                          (random_relation, sparse_relation),
+                                          (sparse_relation, sparse_relation),
+                                          (random_relation, random_relation)):
+                left = make_left(rng, rows, inner)
+                right = make_right(rng, inner, cols)
+                assert compose_rel_rel(st, left, right) == dense_compose(
+                    st, left, right)
+
+    def test_out_of_range_output_is_refused(self):
+        # A custom t-norm can return degrees outside [0, 1].
+        st = custom_structure(lambda x, y: x + y, lambda x, y: 1.0)
+        one = FuzzyRelation(1, 1, ((0.6,),))
+        with pytest.raises(DegreeRangeError):
+            compose_rel_rel(st, one, one)
 
     def test_set_rel_zero_vector(self, st):
         rng = random.Random(9)
@@ -139,6 +198,13 @@ class TestInverse:
         rel = FuzzyRelation(2, 1, ((0.3,), (0.7,)))
         assert inverse(rel) == FuzzyRelation(1, 2, ((0.3, 0.7),))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_shapes(self, shape):
+        rows, cols = shape
+        inv = inverse(FuzzyRelation.empty(rows, cols))
+        assert inv == FuzzyRelation.empty(cols, rows)
+        assert inverse(inv) == FuzzyRelation.empty(rows, cols)
+
 
 class TestDegrees:
     def test_subset_reflexive(self, st):
@@ -179,6 +245,21 @@ class TestPointwiseOps:
         with pytest.raises(DimensionMismatch):
             rel_leq(st, FuzzyRelation.empty(2, 3), FuzzyRelation.empty(3, 2))
 
+    def test_agrees_with_structure_leq(self):
+        # Cells at and just past the tolerance: the row comparison is the
+        # same float operation as Structure.leq, cell for cell.
+        st = structure("godel", eps_cmp=1e-3)
+        rng = random.Random(17)
+        steps = [0.0, 1e-3, 1e-3 + 1e-12, 2e-3, 0.1]
+        for _ in range(300):
+            b = random_set(rng, 3)
+            a = FuzzySet(tuple(min(1.0, v + rng.choice(steps)) for v in b.degrees))
+            cellwise = all(map(st.leq, a.degrees, b.degrees))
+            assert set_leq(st, a, b) == cellwise
+            rel_a = FuzzyRelation(1, 3, (a.degrees,))
+            rel_b = FuzzyRelation(1, 3, (b.degrees,))
+            assert rel_leq(st, rel_a, rel_b) == cellwise
+
 
 class TestJson:
     def test_round_trip(self):
@@ -212,6 +293,25 @@ class TestJson:
         rows, cols = shape
         with pytest.raises(InputFormatError):
             relation_from_json({"rows": rows, "cols": cols, "entries": []})
+
+    def test_shape_is_compared_before_entries(self):
+        # The declared shape is refused before any grid or entry is built,
+        # so malformed entries do not matter.
+        doc = {"rows": 3, "cols": 2, "entries": [[0, 0, 1.4], "x"]}
+        with pytest.raises(DimensionMismatch):
+            relation_from_json(doc, (2, 2))
+        ok = {"rows": 2, "cols": 2, "entries": [[1, 0, 0.5]]}
+        assert relation_from_json(ok, (2, 2)) == relation_from_json(ok)
+
+    def test_entry_errors_come_before_bounds(self):
+        # An entry outside the shape is reported only once every entry has
+        # parsed, so a later malformed entry is still an input error.
+        with pytest.raises(InputFormatError):
+            relation_from_json({"rows": 1, "cols": 1,
+                                "entries": [[5, 0, 0.5], [0, 0]]})
+        with pytest.raises(DimensionMismatch, match=r"entry \(5, 0\)"):
+            relation_from_json({"rows": 1, "cols": 1,
+                                "entries": [[5, 0, 0.5], [0, 3, 0.5]]})
 
     def test_rejects_boolean_degree(self):
         with pytest.raises(DegreeRangeError):
