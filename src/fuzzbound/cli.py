@@ -1,10 +1,14 @@
 """Command-line interface over the JSON automaton/relation formats.
 
-Subcommands: dbsim, dbbisim, greatest, check, lang, formula. All results are
-printed as deterministic JSON (keys sorted, numbers at 12 significant
-digits). Exit codes (``_EXIT_CODES``): 0 success, 1 I/O, parse or option
-problem, 2 semantic mismatch (alphabets, shapes, unknown symbols, formula
-dialect), 3 resource cap exceeded.
+Subcommands: dbsim, dbbisim, greatest, check, lang, formula. Each result is
+printed as one line of deterministic JSON: keys sorted, and floats written by
+``repr``, so every degree reads back as the very float that was computed.
+Relations (``phi_k`` and each ``trace`` component) are sparse
+``{rows, cols, entries}`` objects; an entry ``[r, c, degree]`` indexes the
+``"states"`` arrays of the --left and --right files. Exit codes
+(``_EXIT_CODES``): 0 success, 1 I/O, parse or option problem, 2 semantic
+mismatch (alphabets, shapes, unknown symbols, formula dialect), 3 resource cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .automata import (
     word_from_names,
 )
 from .dbsim import (
-    DbSimResult,
     check_bisim,
     check_dbbisim_prefix,
     check_dbsim_prefix,
@@ -69,18 +72,9 @@ class _Parser(argparse.ArgumentParser):
         raise InputFormatError(message)
 
 
-def _round12(value):
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    if isinstance(value, dict):
-        return {k: _round12(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round12(v) for v in value]
-    return value
-
-
 def _emit(doc: dict, output: Optional[str]) -> None:
-    text = json.dumps(_round12(doc), sort_keys=True, indent=2) + "\n"
+    # One line from the C encoder; floats print as repr, which round-trips.
+    text = json.dumps(doc, sort_keys=True) + "\n"
     if output:
         try:
             with open(output, "w", encoding="utf-8") as handle:
@@ -103,21 +97,6 @@ def _load_json(path: str):
 
 def _load_automaton(path: str) -> FuzzyAutomaton:
     return automaton_from_json(_load_json(path))
-
-
-def _relation_by_name(rel: FuzzyRelation, a: FuzzyAutomaton,
-                      b: FuzzyAutomaton) -> dict:
-    out: dict[str, dict[str, float]] = {}
-    for x, xp, v in rel.entries():
-        out.setdefault(a.state_names[x], {})[b.state_names[xp]] = v
-    return out
-
-
-def _result_doc(result: DbSimResult, a: FuzzyAutomaton,
-                b: FuzzyAutomaton) -> dict:
-    doc = result.to_json()
-    doc["phi_k_by_name"] = _relation_by_name(result.relation, a, b)
-    return doc
 
 
 def _add_common(parser: argparse.ArgumentParser, handler) -> None:
@@ -182,8 +161,7 @@ def _cmd_depth_bounded(args: argparse.Namespace, st: Structure) -> dict:
     if args.depth < 0:
         raise InputFormatError("--depth must be >= 0")
     compute = compute_dbbisim if args.command == "dbbisim" else compute_dbsim
-    result = compute(st, left, right, args.depth, trace=args.trace)
-    return _result_doc(result, left, right)
+    return compute(st, left, right, args.depth, trace=args.trace).to_json()
 
 
 def _cmd_greatest(args: argparse.Namespace, st: Structure) -> dict:
@@ -191,10 +169,9 @@ def _cmd_greatest(args: argparse.Namespace, st: Structure) -> dict:
     right = _load_automaton(args.right)
     if args.max_iters < 1:
         raise InputFormatError("--max-iters must be >= 1")
-    result = greatest_fixpoint(st, left, right, args.mode,
-                               max_iters=args.max_iters, tol=args.tol,
-                               trace=args.trace)
-    return _result_doc(result, left, right)
+    return greatest_fixpoint(st, left, right, args.mode,
+                             max_iters=args.max_iters, tol=args.tol,
+                             trace=args.trace).to_json()
 
 
 def _load_prefix(doc, shape: tuple[int, int]) -> list[FuzzyRelation]:

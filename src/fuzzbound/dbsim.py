@@ -102,6 +102,12 @@ class DbSimResult:
         return self.prefix[min(n, last)]
 
     def to_json(self) -> dict:
+        """The result document the CLI prints. ``phi_k`` and each ``trace``
+        component are in :func:`relation_to_json`'s sparse form, whose row
+        and column indices are the state indices of the left and right
+        automaton (their positions in a JSON file's ``"states"`` array);
+        ``trace`` is present only for a traced result. Degrees are the
+        computed floats themselves."""
         doc = {
             "mode": self.mode,
             "k": self.requested,

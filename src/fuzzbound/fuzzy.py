@@ -100,12 +100,6 @@ class FuzzyRelation:
             grid[r][c] = v
         return FuzzyRelation(rows, cols, tuple(tuple(row) for row in grid))
 
-    def entries(self) -> list[tuple[int, int, float]]:
-        """All positive entries as (row, col, degree) triples."""
-        return [(r, c, v)
-                for r, row in enumerate(self.degrees)
-                for c, v in enumerate(row) if v > 0.0]
-
     def is_empty(self) -> bool:
         return all(v == 0.0 for row in self.degrees for v in row)
 
@@ -124,7 +118,10 @@ def compose_rel_rel(st: Structure, left: FuzzyRelation,
     positive left(a, b) with a positive right(b, c). This assumes the
     t-norm's zero law x (x) 0 = 0, which every t-norm satisfies: a term with
     a zero factor cannot raise a supremum that starts at 0. Each output cell
-    sees its positive terms in ascending b, as in the dense product.
+    sees its positive terms in ascending b, as in the dense product. Only a
+    cell a t-norm value was written to (always > 0) can be out of range, so
+    a row is validated cell by cell only if it holds a value above 1 or a
+    value that is not a float.
     """
     if left.cols != right.rows:
         raise DimensionMismatch(
@@ -141,8 +138,10 @@ def compose_rel_rel(st: Structure, left: FuzzyRelation,
                     v = tnorm(lv, rv)
                     if v > best[c]:
                         best[c] = v
+        if max(best, default=0.0) > 1.0 or set(map(type, best)) - {float}:
+            best = [validate_degree(v, "relation degree") for v in best]
         out.append(tuple(best))
-    return FuzzyRelation(left.rows, right.cols, tuple(out))
+    return FuzzyRelation.trusted(left.rows, right.cols, tuple(out))
 
 
 def compose_set_rel(st: Structure, f: FuzzySet, rel: FuzzyRelation) -> FuzzySet:
@@ -227,11 +226,13 @@ def rel_leq(st: Structure, a: FuzzyRelation, b: FuzzyRelation) -> bool:
 
 
 def relation_to_json(rel: FuzzyRelation) -> dict:
-    """Sparse JSON form: zero entries are omitted."""
+    """Sparse JSON form: ``entries`` lists each positive cell as
+    ``[row, col, degree]``, row-major; zero cells are omitted."""
     return {
         "rows": rel.rows,
         "cols": rel.cols,
-        "entries": [[r, c, v] for r, c, v in rel.entries()],
+        "entries": [[r, c, v] for r, row in enumerate(rel.degrees)
+                    for c, v in enumerate(row) if v > 0.0],
     }
 
 

@@ -1,12 +1,25 @@
+import io
 import json
 import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as strat
 
-from fuzzbound import automaton_to_json
-from fuzzbound.cli import run
+from fuzzbound import (
+    FuzzyRelation,
+    automaton_to_json,
+    compute_dbbisim,
+    compute_dbsim,
+    relation_from_json,
+    relation_to_json,
+    structure,
+)
+from fuzzbound.cli import _emit, run
+from fuzzbound.oracle import RandomAutomatonSpec, generate_automaton
 
-from conftest import chain_automaton, chain_automaton_variant
+from conftest import STRUCTURE_NAMES, chain_automaton, chain_automaton_variant
 
 
 @pytest.fixture
@@ -24,6 +37,16 @@ def run_json(capsys, argv):
     return code, (json.loads(out) if out else None)
 
 
+def degree(relation: dict, row: int, col: int) -> float:
+    """Cell (row, col) of a sparse relation document; omitted cells are 0.
+
+    Rows and columns are positions in the left and right files' "states"
+    arrays: here u, v on the left and u', v' on the right.
+    """
+    return next((v for r, c, v in relation["entries"] if (r, c) == (row, col)),
+                0.0)
+
+
 class TestDepthBounded:
     def test_lukasiewicz_depth_one(self, files, capsys):
         left, right = files
@@ -31,10 +54,10 @@ class TestDepthBounded:
             "dbsim", "--left", left, "--right", right,
             "--depth", "1", "--tnorm", "lukasiewicz"])
         assert code == 0
-        named = doc["phi_k_by_name"]
-        assert named["u"]["u'"] == pytest.approx(0.9, abs=1e-9)
-        assert named["u"]["v'"] == pytest.approx(0.8, abs=1e-9)
-        assert named["v"]["v'"] == pytest.approx(0.7, abs=1e-9)
+        phi = doc["phi_k"]
+        assert degree(phi, 0, 0) == pytest.approx(0.9, abs=1e-9)
+        assert degree(phi, 0, 1) == pytest.approx(0.8, abs=1e-9)
+        assert degree(phi, 1, 1) == pytest.approx(0.7, abs=1e-9)
         assert doc["k"] == 1 and doc["mode"] == "simulation"
 
     def test_depth_zero_is_terminal_residuum(self, files, capsys):
@@ -43,7 +66,7 @@ class TestDepthBounded:
             "dbsim", "--left", left, "--right", right,
             "--depth", "0", "--tnorm", "lukasiewicz"])
         assert code == 0
-        assert doc["phi_k_by_name"]["v"]["v'"] == pytest.approx(0.8, abs=1e-9)
+        assert degree(doc["phi_k"], 1, 1) == pytest.approx(0.8, abs=1e-9)
 
     def test_dbbisim(self, files, capsys):
         left, right = files
@@ -51,9 +74,9 @@ class TestDepthBounded:
             "dbbisim", "--left", left, "--right", right,
             "--depth", "1", "--tnorm", "lukasiewicz"])
         assert code == 0
-        named = doc["phi_k_by_name"]
-        assert named["u"]["u'"] == pytest.approx(0.7, abs=1e-9)
-        assert named["u"]["v'"] == pytest.approx(0.2, abs=1e-9)
+        phi = doc["phi_k"]
+        assert degree(phi, 0, 0) == pytest.approx(0.7, abs=1e-9)
+        assert degree(phi, 0, 1) == pytest.approx(0.2, abs=1e-9)
 
     def test_trace_flag(self, files, capsys):
         left, right = files
@@ -115,13 +138,23 @@ class TestDepthBounded:
                         "--output", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_numbers_rounded_to_12_significant_digits(self, files, capsys):
+    def test_degrees_are_the_api_floats_exactly(self, files, capsys):
         left, right = files
-        code, doc = run_json(capsys, [
-            "dbsim", "--left", left, "--right", right,
-            "--depth", "1", "--tnorm", "lukasiewicz"])
-        assert code == 0
-        assert doc["phi_k_by_name"]["v"]["v'"] == 0.7
+        assert run(["dbsim", "--left", left, "--right", right,
+                    "--depth", "1", "--tnorm", "lukasiewicz"]) == 0
+        text = capsys.readouterr().out
+        result = compute_dbsim(structure("lukasiewicz"), chain_automaton(),
+                               chain_automaton_variant(), 1)
+        value = result.relation[1, 1]
+        doc = json.loads(text)
+        assert degree(doc["phi_k"], 1, 1) == value
+        assert repr(value) in text
+        assert doc["phi_k"] == relation_to_json(result.relation)
+        assert doc["norms"] == list(result.norms)
+        # One line, no indentation, and phi_k is printed once.
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        assert sorted(doc) == ["fixpoint_at", "k", "mode", "norms", "phi_k",
+                               "status"]
 
 
 class TestGreatest:
@@ -131,7 +164,7 @@ class TestGreatest:
             "greatest", "--left", left, "--right", right, "--tnorm", "godel"])
         assert code == 0
         assert doc["status"] == "fixpoint"
-        assert doc["phi_k_by_name"]["v"]["v'"] == pytest.approx(0.4, abs=1e-9)
+        assert degree(doc["phi_k"], 1, 1) == pytest.approx(0.4, abs=1e-9)
         assert doc["norms"][-1] == pytest.approx(1.0, abs=1e-9)
 
     def test_product_approximate(self, files, capsys):
@@ -149,7 +182,7 @@ class TestGreatest:
             "greatest", "--left", left, "--right", right,
             "--tnorm", "lukasiewicz", "--mode", "bisim"])
         assert code == 0
-        assert doc["phi_k_by_name"]["u"]["u'"] == pytest.approx(0.5, abs=1e-9)
+        assert degree(doc["phi_k"], 0, 0) == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_bad_tol_is_input_error(self, files, capsys, tol):
@@ -269,6 +302,100 @@ class TestCheck:
         assert "eps_cmp must be a finite number >= 0" in err
 
 
+# Degrees whose 12-digit rounding differs from the float, or that sit at the
+# ends of the float range in [0, 1].
+EDGE_DEGREES = (5e-324, 2.0 ** -1022, 1.0 - 2.0 ** -53, 0.1 + 0.2, 1.0, 2 / 3)
+
+
+@pytest.fixture(scope="module")
+def random_files(tmp_path_factory):
+    """Paths of random automaton pairs (5-8 states, two symbols) and the pairs."""
+    root = tmp_path_factory.mktemp("pairs")
+    out = []
+    for seed in range(4):
+        pair = tuple(generate_automaton(RandomAutomatonSpec(
+            5 + seed + side, 2, 0.35, seed=100 + 2 * seed + side))
+            for side in (0, 1))
+        paths = []
+        for side, automaton in zip("ab", pair):
+            path = root / f"{seed}{side}.json"
+            path.write_text(json.dumps(automaton_to_json(automaton)))
+            paths.append(str(path))
+        out.append((*paths, pair))
+    return out
+
+
+@strat.composite
+def relations(draw):
+    rows, cols = draw(strat.integers(0, 4)), draw(strat.integers(0, 4))
+    degree = strat.sampled_from(EDGE_DEGREES + (0.0,)) | strat.floats(0.0, 1.0)
+    return FuzzyRelation(rows, cols, [
+        draw(strat.lists(degree, min_size=cols, max_size=cols))
+        for _ in range(rows)])
+
+
+class TestOutputFormat:
+    @given(relations())
+    def test_emitted_relation_reads_back_bit_for_bit(self, rel):
+        buffer = io.StringIO()
+        with redirect_stdout(buffer):
+            _emit(relation_to_json(rel), None)
+        back = relation_from_json(json.loads(buffer.getvalue()))
+        assert (back.rows, back.cols) == (rel.rows, rel.cols)
+        assert back.degrees == rel.degrees
+
+    @pytest.mark.parametrize("name", STRUCTURE_NAMES)
+    def test_dbsim_trace_file_is_the_api_chain(self, random_files, tmp_path,
+                                               name):
+        out = tmp_path / "trace.json"
+        for left, right, (a, b) in random_files:
+            assert run(["dbsim", "--left", left, "--right", right,
+                        "--depth", "4", "--tnorm", name, "--trace",
+                        "--output", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            result = compute_dbsim(structure(name), a, b, 4, trace=True)
+            shape = (a.num_states, b.num_states)
+            assert [relation_from_json(rel, shape).degrees
+                    for rel in doc["trace"]] == [rel.degrees for rel in result.prefix]
+            assert relation_from_json(doc["phi_k"], shape) == result.relation
+            assert doc["norms"] == list(result.norms)
+
+    @pytest.mark.parametrize("name", STRUCTURE_NAMES)
+    def test_dbbisim_trace_on_stdout_is_the_api_chain(self, random_files,
+                                                      capsys, name):
+        for left, right, (a, b) in random_files:
+            code, doc = run_json(capsys, [
+                "dbbisim", "--left", left, "--right", right, "--depth", "4",
+                "--tnorm", name, "--trace"])
+            assert code == 0
+            result = compute_dbbisim(structure(name), a, b, 4, trace=True)
+            shape = (a.num_states, b.num_states)
+            assert [relation_from_json(rel, shape).degrees
+                    for rel in doc["trace"]] == [rel.degrees for rel in result.prefix]
+
+    @pytest.mark.parametrize("name", STRUCTURE_NAMES)
+    @pytest.mark.parametrize("command, mode", [("dbsim", "dbsim"),
+                                               ("dbbisim", "dbbisim")])
+    def test_check_accepts_every_written_trace(self, random_files, files,
+                                               tmp_path, capsys, name,
+                                               command, mode):
+        # Goedel's residuum is an exact adjoint in floats, so its chains pass
+        # with no tolerance at all. The Lukasiewicz and product residua are
+        # not: their chains may break a transition condition by an ulp, which
+        # the default tolerance absorbs.
+        eps_runs = [[]] + ([["--eps", "0"]] if name == "godel" else [])
+        trace = tmp_path / "trace.json"
+        for left, right, *_ in random_files + [(*files,)]:
+            assert run([command, "--left", left, "--right", right,
+                        "--depth", "4", "--tnorm", name, "--trace",
+                        "--output", str(trace)]) == 0
+            for eps in eps_runs:
+                code, doc = run_json(capsys, [
+                    "check", "--left", left, "--right", right, "--relation",
+                    str(trace), "--mode", mode, "--tnorm", name, *eps])
+                assert code == 0 and doc["ok"] is True, (left, eps)
+
+
 class TestLang:
     def test_single_word(self, files, capsys):
         left, _ = files
@@ -360,7 +487,7 @@ class TestEnvironment:
         code, doc = run_json(capsys, [
             "dbsim", "--left", left, "--right", right, "--depth", "1"])
         assert code == 0
-        assert doc["phi_k_by_name"]["u"]["u'"] == pytest.approx(0.9, abs=1e-9)
+        assert degree(doc["phi_k"], 0, 0) == pytest.approx(0.9, abs=1e-9)
 
     def test_flag_overrides_env(self, files, capsys, monkeypatch):
         left, right = files
@@ -369,7 +496,7 @@ class TestEnvironment:
             "dbsim", "--left", left, "--right", right, "--depth", "1",
             "--tnorm", "godel"])
         assert code == 0
-        assert doc["phi_k_by_name"]["u"]["u'"] == pytest.approx(1.0, abs=1e-9)
+        assert degree(doc["phi_k"], 0, 0) == pytest.approx(1.0, abs=1e-9)
 
     def test_usage_error_exit_code(self, files):
         assert run(["dbsim", "--depth", "1"]) == 1

@@ -77,7 +77,7 @@ class TestValues:
 
     def test_empty_relation_support(self):
         assert FuzzyRelation.empty(2, 3).is_empty()
-        assert FuzzyRelation.empty(2, 3).entries() == []
+        assert relation_to_json(FuzzyRelation.empty(2, 3))["entries"] == []
 
     def test_from_entries_bounds_checked(self):
         with pytest.raises(DimensionMismatch):
@@ -132,6 +132,17 @@ class TestCompose:
         one = FuzzyRelation(1, 1, ((0.6,),))
         with pytest.raises(DegreeRangeError):
             compose_rel_rel(st, one, one)
+
+    def test_non_float_output_is_validated(self):
+        # Cells are frozen without the validating constructor, so values of
+        # another type must still be converted or refused.
+        one = FuzzyRelation(1, 2, ((0.6, 0.0),))
+        ints = custom_structure(lambda x, y: 1, lambda x, y: 1.0)
+        out = compose_rel_rel(ints, one, FuzzyRelation(2, 1, ((0.5,), (0.5,))))
+        assert out.degrees == ((1.0,),) and type(out.degrees[0][0]) is float
+        bools = custom_structure(lambda x, y: True, lambda x, y: 1.0)
+        with pytest.raises(DegreeRangeError):
+            compose_rel_rel(bools, one, FuzzyRelation(2, 1, ((0.5,), (0.5,))))
 
     def test_set_rel_zero_vector(self, st):
         rng = random.Random(9)
