@@ -228,12 +228,15 @@ def language_eval(st: Structure, automaton: FuzzyAutomaton,
 
 
 def require_word_bound(automaton: FuzzyAutomaton, n: int, cap: int) -> None:
-    """Refuse a negative length bound, or one whose words would exceed cap."""
+    """Refuse a negative length bound, or one whose words would exceed cap:
+    k^(n + 1) for k >= 2 symbols (the exponent clipped where 2^e is past the
+    cap), else (n + 1)^2 for n + 1 levels of words of up to n letters."""
     if n < 0:
         raise ValueError("word-length bound must be >= 0")
-    if automaton.num_symbols ** (n + 1) > cap:
+    k = automaton.num_symbols
+    if (k ** min(n + 1, cap.bit_length() + 1) if k > 1 else (n + 1) ** 2) > cap:
         raise WordCapExceeded(
-            f"{automaton.num_symbols}^{n + 1} words exceed the cap of {cap}")
+            f"words of length <= {n} over {k} symbols exceed the cap of {cap}")
 
 
 def language_bounded(st: Structure, automaton: FuzzyAutomaton, n: int,

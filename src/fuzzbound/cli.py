@@ -41,6 +41,7 @@ from .errors import (
     DimensionMismatch,
     FuzzboundError,
     InputFormatError,
+    TraceCapExceeded,
     UnknownSymbol,
     WordCapExceeded,
 )
@@ -59,7 +60,7 @@ EXIT_RESOURCE = 3
 _EXIT_CODES = (
     ((AlphabetMismatch, DimensionMismatch, UnknownSymbol, DialectError),
      EXIT_SEMANTIC),
-    (WordCapExceeded, EXIT_RESOURCE),
+    ((WordCapExceeded, TraceCapExceeded), EXIT_RESOURCE),
     ((FuzzboundError, ValueError), EXIT_INPUT),
 )
 

@@ -30,7 +30,7 @@ from .automata import (
     require_same_alphabet,
     sim_norm,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, TraceCapExceeded
 from .fuzzy import (
     FuzzyRelation,
     compose_rel_rel,
@@ -41,6 +41,11 @@ from .fuzzy import (
     set_leq,
 )
 from .lattice import Structure, validate_degree
+
+# A traced run holds up to (steps + 1) * n_a * n_b degrees; one that could hold
+# more is refused before its first round. 2**24 cells are 128 MiB of tuple
+# slots alone, before any float they point to.
+MAX_TRACE_CELLS = 2 ** 24
 
 MODE_SIM = "simulation"
 MODE_BISIM = "bisimulation"
@@ -134,17 +139,22 @@ def _init_grid(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
 def _row_norms(st: Structure, rows: Sequence[Sequence[float]],
                init_rows: Sequence[float], init_cols: Sequence[float],
                which: Iterable[int]) -> list[tuple[int, float]]:
-    # Per row x of the relation held row by row: the graded inclusion of
-    # x in the row side's initial set, sigma(x) => sup_x' sigma'(x') (x) row[x'].
-    # The simulation norm is the meet of 1.0 and these values.
+    """Per row x of the relation held row by row: the graded inclusion of x
+    in the row side's initial set, sigma(x) => sup_x' sigma'(x') (x) row[x'];
+    the simulation norm is the meet of 1.0 and these values. By (L1) of
+    :func:`_pass` the sup stops at the first cap s (x) 1.0, largest first,
+    that cannot raise it."""
     tnorm = st.tnorm
     residuum = st.residuum
-    support = [(j, s) for j, s in enumerate(init_cols) if s > 0.0]
+    support = sorted(((tnorm(s, 1.0), j, s)
+                      for j, s in enumerate(init_cols) if s > 0.0), reverse=True)
     out = []
     for x in which:
         row = rows[x]
         pulled = 0.0
-        for j, s in support:
+        for cap, j, s in support:
+            if cap <= pulled:
+                break
             v = tnorm(s, row[j])
             if v > pulled:
                 pulled = v
@@ -152,10 +162,17 @@ def _row_norms(st: Structure, rows: Sequence[Sequence[float]],
     return out
 
 
+def _capped(st: Structure, index: SuccPredIndex) -> list:
+    # The successor view of _pass: per symbol and state, each (y', d') as
+    # (cap, y', d'), largest cap first; cap = d' (x) 1.0, which need not be d'.
+    tnorm = st.tnorm
+    return [[sorted(((tnorm(d, 1.0), y, d) for y, d in succ_x), reverse=True)
+             for succ_x in succ_s] for succ_s in index.succ]
+
+
 def _pass(st: Structure, grid: list[list[float]],
-          prev: Sequence[Sequence[float]], right: SuccPredIndex,
-          left: SuccPredIndex,
-          changed: Optional[_Changes]) -> tuple[float, int]:
+          prev: Sequence[Sequence[float]], caps: list, right: SuccPredIndex,
+          left: SuccPredIndex, changed: Optional[_Changes]) -> tuple[float, int]:
     """Lower grid to the transition condition against prev.
 
     Returns the largest single drop and the number of lowerings.
@@ -167,7 +184,7 @@ def _pass(st: Structure, grid: list[list[float]],
     hoisted out of the inner loops. The simulation condition is the call on
     the x'-major working grid with prev = phi_{i-1} and (right, left) =
     (b, a); the bisimulation's mirrored condition swaps the automata and
-    transposes both relations.
+    transposes both relations. ``caps`` is :func:`_capped` of ``right``.
 
     A full pass (``changed`` is None) visits every pair (x', y) where y has
     a predecessor. Otherwise only the pairs with a successor cell
@@ -176,12 +193,19 @@ def _pass(st: Structure, grid: list[list[float]],
     when last applied, and the grid only decreases, so it could lower
     nothing. The order is the same (symbol, x', y, x), so the same
     lowerings happen in the same order.
+
+    Calls that cannot lower a cell are skipped by two laws the built-ins
+    keep in floats, (L1) d' (x) p <= d' (x) 1.0 and (L2) (d => b) >= b: by
+    L1 the sup stops at the first cap d' (x) 1.0, largest first, that cannot
+    raise it; by L2 no residuum is taken for a cell at or below the bound,
+    and the pair is left once the bound reaches its largest cell. For a
+    structure that keeps both, the lowerings are those of the full loops.
     """
     tnorm = st.tnorm
     residuum = st.residuum
     max_drop = 0.0
     lowered = 0
-    for succ_s, pred_s, back_s in zip(right.succ, left.pred, right.pred):
+    for succ_s, pred_s, back_s in zip(caps, left.pred, right.pred):
         if changed is None:
             every_y = [(prev_y, pred_list)
                        for prev_y, pred_list in zip(prev, pred_s) if pred_list]
@@ -191,13 +215,24 @@ def _pass(st: Structure, grid: list[list[float]],
                     for xp, ys in _revisits(changed, prev, pred_s, back_s))
         for row, succ_list, ys in work:
             for prev_y, pred_list in ys:
+                top = 0.0
+                for x, _ in pred_list:
+                    cur = row[x]
+                    if cur > top:
+                        top = cur
                 bound = 0.0
-                for yp, d in succ_list:
+                for cap, yp, d in succ_list:
+                    if cap <= bound or bound >= top:
+                        break
                     v = tnorm(d, prev_y[yp])
                     if v > bound:
                         bound = v
+                if bound >= top:
+                    continue
                 for x, d in pred_list:
                     cur = row[x]
+                    if cur <= bound:
+                        continue
                     new = residuum(d, bound)
                     if new < cur:
                         row[x] = new
@@ -256,9 +291,17 @@ def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
     require_same_alphabet(a, b)
     if max_steps < 0:
         raise ValueError("iteration bound must be >= 0")
+    cells = (max_steps + 1) * a.num_states * b.num_states
+    if trace and cells > MAX_TRACE_CELLS:
+        raise TraceCapExceeded(
+            f"a trace of {max_steps + 1} components of {a.num_states}x"
+            f"{b.num_states} could hold {cells} degrees, over the cap of "
+            f"{MAX_TRACE_CELLS}; trace fewer steps or leave tracing off")
     bisim = mode == MODE_BISIM
     index_a = build_index(a)
     index_b = build_index(b)
+    caps_b = _capped(st, index_b)
+    caps_a = _capped(st, index_a) if bisim else None
     n_a, n_b = a.num_states, b.num_states
     ia, ib = a.initial.degrees, b.initial.degrees
 
@@ -278,11 +321,12 @@ def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
 
     for i in range(1, max_steps + 1):
         prev = prefix[-1].degrees
-        drop, lowered = _pass(st, grid, prev, index_b, index_a, changed)
+        drop, lowered = _pass(st, grid, prev, caps_b, index_b, index_a, changed)
         if bisim:
             prev_t = _transpose(prev)
             rows = _transpose(grid)
-            mirrored, more = _pass(st, rows, prev_t, index_a, index_b, columns)
+            mirrored, more = _pass(st, rows, prev_t, caps_a, index_a, index_b,
+                                   columns)
             drop = max(drop, mirrored)
             lowered += more
             grid = _transpose(rows)
@@ -351,7 +395,9 @@ def compute_dbsim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, k: int,
     and m transitions; a later round visits only the pairs whose successor
     degrees changed in the round before, plus O(n_a n_b) C-level work to
     find the changed cells, and is a full round again when the round before
-    lowered many cells.
+    lowered many cells. A traced run that could hold more than
+    ``MAX_TRACE_CELLS`` degrees raises ``TraceCapExceeded`` before its first
+    round.
     """
     return _run(st, a, b, MODE_SIM, k, trace, tol=None)
 
@@ -378,7 +424,8 @@ def greatest_fixpoint(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
     lower the same degree in one iteration count apart), or at the iteration
     cap (status "cap": not converged). Under the product structure exact
     fixpoints may not exist, hence the tolerance, which must be a finite
-    number >= 0.
+    number >= 0. With ``trace``, the cap on traced degrees of
+    :func:`compute_dbsim` applies to ``max_iters`` + 1 components.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")

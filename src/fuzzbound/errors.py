@@ -25,6 +25,10 @@ class WordCapExceeded(FuzzboundError, RuntimeError):
     """Bounded-language enumeration would produce too many words."""
 
 
+class TraceCapExceeded(FuzzboundError, RuntimeError):
+    """A traced run could hold more relation degrees than the cap."""
+
+
 class FormulaSyntaxError(FuzzboundError, ValueError):
     """Formula text could not be parsed.
 

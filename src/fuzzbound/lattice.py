@@ -5,7 +5,9 @@ tolerance used everywhere degrees are compared. The three classic structures
 (Godel, Lukasiewicz, product) are built in; user-defined pairs plug in through
 :func:`custom_structure`. The built-ins are linear and their t-norms are
 continuous, which the fixpoint results rely on; this is a documented
-assumption, not a runtime check.
+assumption, not a runtime check. The round kernel also relies on two laws
+that follow from monotonicity and adjunction and that the built-ins keep in
+floats: (L1) x (x) y <= x (x) 1.0 and (L2) (x => y) >= y.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ def validate_degree(value: float, what: str = "degree") -> float:
         except (TypeError, ValueError):
             raise DegreeRangeError(
                 f"{what} must be a real number, got {value!r}") from None
+        except OverflowError:  # an int too large for a float
+            raise DegreeRangeError(f"{what} must lie in [0, 1], got {value!r}") from None
     if not 0.0 <= v <= 1.0:
         raise DegreeRangeError(f"{what} must lie in [0, 1], got {v!r}")
     return v
@@ -134,6 +138,8 @@ def custom_structure(tnorm: BinaryOp, residuum: BinaryOp,
     """Wrap a user-supplied t-norm/residuum pair.
 
     The pair is expected to satisfy the adjunction x (x) y <= z iff
-    x <= (y => z); this is checked by the property-test suite, not here.
+    x <= (y => z) and the laws (L1) x (x) y <= x (x) 1.0 and (L2)
+    (x => y) >= y, which the kernel's skipped calls rely on: only then do its
+    outputs match ``naive_dbsim``. Nothing is checked here.
     """
     return Structure("custom", tnorm, residuum, eps_cmp)

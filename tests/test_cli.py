@@ -17,6 +17,7 @@ from fuzzbound import (
     structure,
 )
 from fuzzbound.cli import _emit, run
+from fuzzbound.dbsim import MAX_TRACE_CELLS
 from fuzzbound.oracle import RandomAutomatonSpec, generate_automaton
 
 from conftest import STRUCTURE_NAMES, chain_automaton, chain_automaton_variant
@@ -191,6 +192,37 @@ class TestGreatest:
                     "--tol", tol])
         assert code == 1
         assert "tol must be a finite number >= 0" in capsys.readouterr().err
+
+
+class TestTraceCap:
+    # A traced run holds up to (steps + 1) * n_a * n_b degrees. One that could
+    # hold more than the cap is refused before its first round with exit 3,
+    # even on a pair that would reach a fixpoint early.
+    @pytest.mark.parametrize("argv", [
+        ["dbsim", "--trace", "--depth", "{steps}"],
+        ["dbbisim", "--trace", "--depth", "{steps}"],
+        ["greatest", "--trace", "--max-iters", "{steps}", "--tol", "0"],
+    ])
+    def test_over_the_cap_is_a_resource_error(self, files, capsys, argv):
+        left, right = files
+        steps = MAX_TRACE_CELLS // 4   # (steps + 1) * 2 * 2 > the cap
+        argv = [arg.format(steps=steps) for arg in argv]
+        assert run(argv + ["--left", left, "--right", right]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cap" in captured.err
+        # One step fewer is at the cap and runs; without --trace nothing is
+        # held per step, so the same step count runs too.
+        fewer = [str(steps - 1) if arg == str(steps) else arg for arg in argv]
+        assert run(fewer + ["--left", left, "--right", right]) == 0
+        untraced = [arg for arg in argv if arg != "--trace"]
+        assert run(untraced + ["--left", left, "--right", right]) == 0
+
+    def test_benchmark_sized_runs_are_far_under_the_cap(self):
+        # cli-session traces depth 4 on 80-state pairs; greatest runs at most
+        # 60 iterations on 100-state pairs.
+        assert 100 * (4 + 1) * 80 * 80 <= MAX_TRACE_CELLS
+        assert 10 * (60 + 1) * 100 * 100 <= MAX_TRACE_CELLS
 
 
 class TestCheck:

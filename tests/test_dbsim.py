@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from fuzzbound import (
     compute_dbsim,
     custom_structure,
     greatest_fixpoint,
+    naive_dbsim,
     prefix_norm,
     rel_leq,
     structure,
@@ -21,7 +23,7 @@ from fuzzbound import (
 from fuzzbound.errors import AlphabetMismatch, DegreeRangeError, DimensionMismatch
 from fuzzbound.oracle import RandomAutomatonSpec, generate_automaton
 
-from conftest import assert_rel_close, chain_pair, loop_pair
+from conftest import STRUCTURE_NAMES, assert_rel_close, chain_pair, loop_pair
 
 
 def rel2(entries: dict) -> FuzzyRelation:
@@ -485,6 +487,92 @@ class TestCustomStructure:
         for _ in range(2000):
             x, y, z = rng.random(), rng.random(), rng.random()
             assert (st.tnorm(x, y) <= z) == (x <= st.residuum(y, z))
+
+
+def chain_repr(result) -> str:
+    """Everything a result holds, compared bit for bit by repr."""
+    return repr((result.status, result.fixpoint_at, result.norms,
+                 [rel.degrees for rel in result.prefix]))
+
+
+class TestLawPruning:
+    # The kernel skips the calls that the laws (L1) and (L2) of dbsim._pass
+    # show cannot lower a cell; the outputs stay naive_dbsim's bit for bit.
+
+    @staticmethod
+    def fan_pair(d1, d2, end2):
+        # x -s-> y (1.0) on the left; x' -s-> y1' (d1) and x' -s-> y2' (d2) on
+        # the right, y1' terminal in 1.0 and y2' in end2. Every state of the
+        # left is terminal in 1.0, so phi_1(x, x') is the bound
+        # max(d1 (x) 1.0, d2 (x) end2) under any residuum with 1.0 => b = b.
+        a = FuzzyAutomaton.build(["s"], ["x", "y"], {"x": 1.0},
+                                 {"x": 1.0, "y": 1.0}, [("x", "s", "y", 1.0)])
+        b = FuzzyAutomaton.build(
+            ["s"], ["x'", "y1'", "y2'"], {"x'": 1.0},
+            {"x'": 1.0, "y1'": 1.0, "y2'": end2},
+            [("x'", "s", "y1'", d1), ("x'", "s", "y2'", d2)])
+        return a, b
+
+    @staticmethod
+    def assert_naive(st, a, b, depth):
+        for mode, compute in (("sim", compute_dbsim), ("bisim", compute_dbbisim)):
+            expected = naive_dbsim(st, a, b, depth, mode)
+            result = compute(st, a, b, depth, trace=True)
+            assert [rel.degrees for rel in result.prefix] == [
+                rel.degrees for rel in expected[:len(result.prefix)]]
+            assert result.relation == expected[-1]
+
+    # Every Lukasiewicz t-norm value is a multiple of 2**-52, so none lies
+    # between a degree d' and its cap d' (x) 1.0 (0.1 (x) 1.0 is
+    # 0.10000000000000009): there, a bound never equals d' while the term of
+    # d' still raises it. RAISED_UNIT keeps L1 and L2 with d' (x) 1.0 just
+    # above d' and unrounded values: 0.6 (x) 0.5 makes the bound exactly 0.5,
+    # and 0.5 (x) 1.0 must still raise it; a sup that stopped at the first
+    # d' <= bound would end at 0.5.
+    RAISED_UNIT = custom_structure(
+        tnorm=lambda x, y: (min(x, y) if y < 1.0 or x == 0.0
+                            else min(math.nextafter(x, 2.0), 1.0)),
+        residuum=structure("godel").residuum)
+
+    @pytest.mark.parametrize("st,d1,d2,end2,expected", [
+        (structure("lukasiewicz"), 0.1, 0.6, 0.4, 0.10000000000000009),
+        (RAISED_UNIT, 0.5, 0.6, 0.5, math.nextafter(0.5, 1.0)),
+    ], ids=["lukasiewicz", "raised-unit"])
+    def test_cap_is_the_tnorm_at_one(self, st, d1, d2, end2, expected):
+        a, b = self.fan_pair(d1, d2, end2)
+        assert st.tnorm(d1, 1.0) == expected
+        assert compute_dbsim(st, a, b, 1).relation.degrees[0][0] == expected
+        self.assert_naive(st, a, b, 3)
+
+    # Calls through the structure on the pair below at k = 4 (bisimulation,
+    # the initial grid and the norms included), made by the kernel before the
+    # pruning, which takes one t-norm per successor and one residuum per
+    # predecessor of every pair a round visits: (t-norm, residuum).
+    UNPRUNED = {"godel": (350927, 320434), "lukasiewicz": (497582, 439027),
+                "product": (351003, 320526)}
+
+    @pytest.mark.parametrize("name", STRUCTURE_NAMES)
+    def test_pruned_kernel_makes_fewer_calls(self, name):
+        base = structure(name)
+        calls = [0, 0]
+
+        def tnorm(x, y):
+            calls[0] += 1
+            return base.tnorm(x, y)
+
+        def residuum(x, y):
+            calls[1] += 1
+            return base.residuum(x, y)
+
+        a, b = random_pair(3, num_states=100, num_symbols=2, density=3 / 100)
+        counted = compute_dbbisim(custom_structure(tnorm, residuum), a, b, 4,
+                                  trace=True)
+        assert chain_repr(counted) == chain_repr(
+            compute_dbbisim(base, a, b, 4, trace=True))
+        # Measured: 0.26/0.12 (Godel), 0.56/0.42 (Lukasiewicz) and 0.27/0.16
+        # (product) of the unpruned counts.
+        for made, unpruned in zip(calls, self.UNPRUNED[name]):
+            assert made <= 0.7 * unpruned, (calls, self.UNPRUNED[name])
 
 
 class TestResultShape:

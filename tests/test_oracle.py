@@ -82,10 +82,11 @@ class TestNaiveRecurrence:
             naive_dbsim(st, a, other, 2)
 
     def test_matches_optimized_on_random_pairs(self, st):
-        def random_automaton(states, density, seed):
+        def random_automaton(states, density, seed, grid=None):
             return generate_automaton(RandomAutomatonSpec(
                 num_states=states, num_symbols=2,
-                transition_density=density, seed=seed))
+                transition_density=density, seed=seed,
+                **({"degree_grid": grid} if grid else {})))
 
         def cycle(prime, end):
             # One-symbol cycle c0 -> c1 -> ... -> c7 -> c0 of degree 1; c0 is
@@ -119,6 +120,13 @@ class TestNaiveRecurrence:
                    random_automaton(11 - seed % 2, 0.15, 50 + seed), 10)
                   for seed in range(6)]
         pairs.append((cycle("", 1.0), cycle("'", 0.5), 10))
+        # Degrees at the edges of the floats: the smallest subnormal and
+        # normal, 0.1 and 0.3 (whose Lukasiewicz caps 0.1 (x) 1.0 and
+        # 0.3 (x) 1.0 differ from them), and the float just below 1.
+        edge_grid = (5e-324, 2.0 ** -1022, 0.1, 0.3, 1.0 - 2.0 ** -53)
+        pairs += [(random_automaton(4 + seed % 3, 0.5, 60 + seed, edge_grid),
+                   random_automaton(6 - seed % 3, 0.5, 70 + seed, edge_grid), 6)
+                  for seed in range(8)]
         for a, b, depth in pairs:
             for mode, compute in (("sim", compute_dbsim),
                                   ("bisim", compute_dbbisim)):
