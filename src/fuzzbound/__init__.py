@@ -31,6 +31,7 @@ from .errors import (
     FormulaSyntaxError,
     FuzzboundError,
     InputFormatError,
+    RelationCapExceeded,
     TraceCapExceeded,
     UnknownSymbol,
     WordCapExceeded,

@@ -41,6 +41,7 @@ from .errors import (
     DimensionMismatch,
     FuzzboundError,
     InputFormatError,
+    RelationCapExceeded,
     TraceCapExceeded,
     UnknownSymbol,
     WordCapExceeded,
@@ -60,7 +61,7 @@ EXIT_RESOURCE = 3
 _EXIT_CODES = (
     ((AlphabetMismatch, DimensionMismatch, UnknownSymbol, DialectError),
      EXIT_SEMANTIC),
-    ((WordCapExceeded, TraceCapExceeded), EXIT_RESOURCE),
+    ((WordCapExceeded, TraceCapExceeded, RelationCapExceeded), EXIT_RESOURCE),
     ((FuzzboundError, ValueError), EXIT_INPUT),
 )
 
@@ -159,8 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_depth_bounded(args: argparse.Namespace, st: Structure) -> dict:
     left = _load_automaton(args.left)
     right = _load_automaton(args.right)
-    if args.depth < 0:
-        raise InputFormatError("--depth must be >= 0")
     compute = compute_dbbisim if args.command == "dbbisim" else compute_dbsim
     return compute(st, left, right, args.depth, trace=args.trace).to_json()
 
@@ -168,8 +167,6 @@ def _cmd_depth_bounded(args: argparse.Namespace, st: Structure) -> dict:
 def _cmd_greatest(args: argparse.Namespace, st: Structure) -> dict:
     left = _load_automaton(args.left)
     right = _load_automaton(args.right)
-    if args.max_iters < 1:
-        raise InputFormatError("--max-iters must be >= 1")
     return greatest_fixpoint(st, left, right, args.mode,
                              max_iters=args.max_iters, tol=args.tol,
                              trace=args.trace).to_json()
@@ -215,8 +212,6 @@ def _cmd_lang(args: argparse.Namespace, st: Structure) -> dict:
         names = args.word.split()
         word = word_from_names(automaton, names)
         return {"word": names, "degree": language_eval(st, automaton, word)}
-    if args.max_len < 0:
-        raise InputFormatError("--max-len must be >= 0")
     table = language_bounded(st, automaton, args.max_len)
     language = {
         " ".join(automaton.alphabet[s] for s in word): degree
@@ -247,6 +242,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (FuzzboundError, ValueError) as exc:
         print(f"fuzzbound: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+    except SystemExit as exc:  # -h/--help; usage errors raise in _Parser.error
+        return exc.code
 
 
 def main() -> None:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import ne
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .automata import (
     FuzzyAutomaton,
@@ -32,6 +32,7 @@ from .automata import (
 )
 from .errors import DimensionMismatch, TraceCapExceeded
 from .fuzzy import (
+    MAX_CELLS,
     FuzzyRelation,
     compose_rel_rel,
     compose_rel_set,
@@ -40,12 +41,7 @@ from .fuzzy import (
     relation_to_json,
     set_leq,
 )
-from .lattice import Structure, validate_degree
-
-# A traced run holds up to (steps + 1) * n_a * n_b degrees; one that could hold
-# more is refused before its first round. 2**24 cells are 128 MiB of tuple
-# slots alone, before any float they point to.
-MAX_TRACE_CELLS = 2 ** 24
+from .lattice import Structure
 
 MODE_SIM = "simulation"
 MODE_BISIM = "bisimulation"
@@ -138,16 +134,17 @@ def _init_grid(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
 
 def _row_norms(st: Structure, rows: Sequence[Sequence[float]],
                init_rows: Sequence[float], init_cols: Sequence[float],
-               which: Iterable[int]) -> list[tuple[int, float]]:
-    """Per row x of the relation held row by row: the graded inclusion of x
-    in the row side's initial set, sigma(x) => sup_x' sigma'(x') (x) row[x'];
-    the simulation norm is the meet of 1.0 and these values. By (L1) of
-    :func:`_pass` the sup stops at the first cap s (x) 1.0, largest first,
-    that cannot raise it."""
+               changed: Optional[_Changes]) -> list[tuple[int, float]]:
+    """Per row x in ``changed`` (every row if None) of the relation held row
+    by row: the graded inclusion of x in the row side's initial set,
+    sigma(x) => sup_x' sigma'(x') (x) row[x']; the simulation norm is the
+    meet of 1.0 and these values. By (L1) of :func:`_pass` the sup stops at
+    the first cap s (x) 1.0, largest first, that cannot raise it."""
     tnorm = st.tnorm
     residuum = st.residuum
     support = sorted(((tnorm(s, 1.0), j, s)
                       for j, s in enumerate(init_cols) if s > 0.0), reverse=True)
+    which = range(len(rows)) if changed is None else (x for x, _ in changed)
     out = []
     for x in which:
         row = rows[x]
@@ -288,15 +285,16 @@ def _transpose(grid: Sequence[Sequence[float]]) -> list[list[float]]:
 
 def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
          max_steps: int, trace: bool, tol: Optional[float]) -> DbSimResult:
-    require_same_alphabet(a, b)
     if max_steps < 0:
         raise ValueError("iteration bound must be >= 0")
+    require_same_alphabet(a, b)
+    # A traced run holds up to (steps + 1) * n_a * n_b degrees.
     cells = (max_steps + 1) * a.num_states * b.num_states
-    if trace and cells > MAX_TRACE_CELLS:
+    if trace and cells > MAX_CELLS:
         raise TraceCapExceeded(
             f"a trace of {max_steps + 1} components of {a.num_states}x"
             f"{b.num_states} could hold {cells} degrees, over the cap of "
-            f"{MAX_TRACE_CELLS}; trace fewer steps or leave tracing off")
+            f"{MAX_CELLS}; trace fewer steps or leave tracing off")
     bisim = mode == MODE_BISIM
     index_a = build_index(a)
     index_b = build_index(b)
@@ -307,69 +305,55 @@ def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
 
     grid = _init_grid(st, a, b, bisim)
     # The working grid is x'-major; relations are x-major.
-    prefix: list[FuzzyRelation] = [FuzzyRelation(n_a, n_b, tuple(zip(*grid)))]
+    degrees = tuple(zip(*grid))
+    prefix: list[FuzzyRelation] = []
     # The per-row values whose meet is the norm: the simulation side per x
     # of the frozen component, the bisimulation's mirrored side per x' of the
     # x'-major working grid. A round recomputes the rows it changed.
-    sim_rows = dict(_row_norms(st, prefix[0].degrees, ia, ib, range(n_a)))
-    mirror_rows = dict(_row_norms(st, grid, ib, ia, range(n_b)) if bisim else ())
-    norms: list[float] = [min(1.0, *sim_rows.values(), *mirror_rows.values())]
+    sim_rows: dict[int, float] = {}
+    mirror_rows: dict[int, float] = {}
+    norms: list[float] = []
     fixpoint_at: Optional[int] = None
     status = "depth" if tol is None else "cap"
-    changed: Optional[_Changes] = None   # None: the next round is a full pass
+    changed: Optional[_Changes] = None   # None: every cell may have changed
     columns: Optional[_Changes] = None   # the same cells, x'-major
 
-    for i in range(1, max_steps + 1):
-        prev = prefix[-1].degrees
-        drop, lowered = _pass(st, grid, prev, caps_b, index_b, index_a, changed)
+    for i in range(max_steps + 1):
+        if i:
+            prev = degrees
+            drop, lowered = _pass(st, grid, prev, caps_b, index_b, index_a,
+                                  changed)
+            if bisim:
+                prev_t = _transpose(prev)
+                rows = _transpose(grid)
+                mirrored, more = _pass(st, rows, prev_t, caps_a, index_a,
+                                       index_b, columns)
+                drop = max(drop, mirrored)
+                lowered += more
+                grid = _transpose(rows)
+            if drop == 0.0:
+                # This iteration changed nothing, so phi_{i-1} is the fixpoint.
+                fixpoint_at = i - 1
+                status = "fixpoint"
+                break
+            degrees = tuple(zip(*grid))
+            # The next round revisits from this round's changes unless this
+            # round was dense or is the last.
+            if lowered > _DENSE_SHARE * n_a * n_b or i == max_steps:
+                changed = columns = None
+            else:
+                changed = _diff(degrees, prev)
+                columns = _diff(grid, prev_t) if bisim else None
+            rows = prev_t = None  # freed before the next round, for peak memory
+        if not trace:
+            prefix.clear()
+        # Every degree is a built-in's result or a checked one (lattice).
+        prefix.append(FuzzyRelation.trusted(n_a, n_b, degrees))
+        sim_rows.update(_row_norms(st, degrees, ia, ib, changed))
         if bisim:
-            prev_t = _transpose(prev)
-            rows = _transpose(grid)
-            mirrored, more = _pass(st, rows, prev_t, caps_a, index_a, index_b,
-                                   columns)
-            drop = max(drop, mirrored)
-            lowered += more
-            grid = _transpose(rows)
-        if drop == 0.0:
-            # This iteration changed nothing, so phi_{i-1} is the fixpoint.
-            fixpoint_at = i - 1
-            status = "fixpoint"
-            break
-        # This round's changes: a revisit round validates them, and the next
-        # round revisits from them unless this one was dense.
-        dense = lowered > _DENSE_SHARE * n_a * n_b
-        full = changed is None
-        degrees = tuple(zip(*grid))
-        if full and (dense or i == max_steps):
-            changed = columns = None
-        else:
-            changed = _diff(degrees, prev)
-            columns = _diff(grid, prev_t) if bisim else None
-        rows = prev_t = None  # freed before the freeze, for peak memory
-        if full:
-            frozen = FuzzyRelation(n_a, n_b, degrees)
-        else:
-            # Every cell not written this round was validated before.
-            for r, cols in changed:
-                row = degrees[r]
-                for c in cols:
-                    validate_degree(row[c], "relation degree")
-            frozen = FuzzyRelation.trusted(n_a, n_b, degrees)
-        if trace:
-            prefix.append(frozen)
-        else:
-            prefix[0] = frozen
-        sim_rows.update(_row_norms(
-            st, degrees, ia, ib,
-            range(n_a) if changed is None else (r for r, _ in changed)))
-        if bisim:
-            mirror_rows.update(_row_norms(
-                st, grid, ib, ia,
-                range(n_b) if columns is None else (c for c, _ in columns)))
-        if dense:
-            changed = columns = None
+            mirror_rows.update(_row_norms(st, grid, ib, ia, columns))
         norms.append(min(1.0, *sim_rows.values(), *mirror_rows.values()))
-        if tol is not None and drop <= tol:
+        if i and tol is not None and drop <= tol:
             status = "tol"
             break
 
@@ -396,7 +380,7 @@ def compute_dbsim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, k: int,
     degrees changed in the round before, plus O(n_a n_b) C-level work to
     find the changed cells, and is a full round again when the round before
     lowered many cells. A traced run that could hold more than
-    ``MAX_TRACE_CELLS`` degrees raises ``TraceCapExceeded`` before its first
+    ``MAX_CELLS`` degrees raises ``TraceCapExceeded`` before its first
     round.
     """
     return _run(st, a, b, MODE_SIM, k, trace, tol=None)

@@ -29,6 +29,10 @@ class TraceCapExceeded(FuzzboundError, RuntimeError):
     """A traced run could hold more relation degrees than the cap."""
 
 
+class RelationCapExceeded(FuzzboundError, RuntimeError):
+    """A relation document declares more cells than the cap."""
+
+
 class FormulaSyntaxError(FuzzboundError, ValueError):
     """Formula text could not be parsed.
 

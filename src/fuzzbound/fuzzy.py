@@ -12,8 +12,13 @@ from itertools import repeat
 from operator import add, le
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DimensionMismatch, InputFormatError
+from .errors import DimensionMismatch, InputFormatError, RelationCapExceeded
 from .lattice import Structure, validate_degree
+
+# The most degrees a loaded relation, or the components of a traced run, may
+# hold: 2**24 cells are 128 MiB of tuple slots alone, before any float they
+# point to.
+MAX_CELLS = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -73,8 +78,8 @@ class FuzzyRelation:
     @classmethod
     def trusted(cls, rows: int, cols: int,
                 degrees: tuple[tuple[float, ...], ...]) -> "FuzzyRelation":
-        """A relation over a tuple grid of the given shape whose every cell
-        the caller has already validated; nothing is checked here."""
+        """A relation over a tuple grid of the given shape, unchecked: each
+        cell must be a float in [0, 1] already (see :mod:`fuzzbound.lattice`)."""
         rel = object.__new__(cls)
         rel.__dict__.update(rows=rows, cols=cols, degrees=degrees)
         return rel
@@ -118,10 +123,8 @@ def compose_rel_rel(st: Structure, left: FuzzyRelation,
     positive left(a, b) with a positive right(b, c). This assumes the
     t-norm's zero law x (x) 0 = 0, which every t-norm satisfies: a term with
     a zero factor cannot raise a supremum that starts at 0. Each output cell
-    sees its positive terms in ascending b, as in the dense product. Only a
-    cell a t-norm value was written to (always > 0) can be out of range, so
-    a row is validated cell by cell only if it holds a value above 1 or a
-    value that is not a float.
+    sees its positive terms in ascending b, as in the dense product. Every
+    cell is 0.0 or a t-norm value, so the result is frozen unchecked.
     """
     if left.cols != right.rows:
         raise DimensionMismatch(
@@ -138,8 +141,6 @@ def compose_rel_rel(st: Structure, left: FuzzyRelation,
                     v = tnorm(lv, rv)
                     if v > best[c]:
                         best[c] = v
-        if max(best, default=0.0) > 1.0 or set(map(type, best)) - {float}:
-            best = [validate_degree(v, "relation degree") for v in best]
         out.append(tuple(best))
     return FuzzyRelation.trusted(left.rows, right.cols, tuple(out))
 
@@ -246,7 +247,9 @@ def _json_index(value, what: str) -> int:
 def relation_from_json(doc: dict,
                        shape: Optional[tuple[int, int]] = None) -> FuzzyRelation:
     """Parse the sparse JSON form. Given ``shape``, a document that declares
-    any other shape raises ``DimensionMismatch`` before any cell is built."""
+    any other shape raises ``DimensionMismatch`` before any cell is built; one
+    that declares more than ``MAX_CELLS`` cells raises
+    ``RelationCapExceeded``, also before."""
     if not isinstance(doc, dict):
         raise InputFormatError("relation document must be a JSON object")
     try:
@@ -259,6 +262,9 @@ def relation_from_json(doc: dict,
     if shape is not None and (rows, cols) != shape:
         raise DimensionMismatch(
             f"relation is {rows}x{cols}, expected {shape[0]}x{shape[1]}")
+    if rows * max(cols, 1) > MAX_CELLS:  # an empty row still takes a slot
+        raise RelationCapExceeded(
+            f"a {rows}x{cols} relation is over the cap of {MAX_CELLS} cells")
     raw = doc.get("entries", [])
     if not isinstance(raw, (list, tuple)):
         raise InputFormatError("relation entries must be a JSON array")

@@ -3,7 +3,9 @@
 A structure bundles a t-norm with its adjoint residuum, plus the comparison
 tolerance used everywhere degrees are compared. The three classic structures
 (Godel, Lukasiewicz, product) are built in; user-defined pairs plug in through
-:func:`custom_structure`. The built-ins are linear and their t-norms are
+:func:`custom_structure`, each result checked at the call. The built-ins run
+unchecked: they map [0, 1] floats to [0, 1] floats, so relations computed
+from them are frozen unchecked. They are linear and their t-norms are
 continuous, which the fixpoint results rely on; this is a documented
 assumption, not a runtime check. The round kernel also relies on two laws
 that follow from monotonicity and adjunction and that the built-ins keep in
@@ -26,7 +28,7 @@ BinaryOp = Callable[[float, float], float]
 def validate_degree(value: float, what: str = "degree") -> float:
     """Return ``value`` if it is a real number in [0, 1], else raise."""
     v = value
-    if type(v) is not float:  # every cell of every relation passes here
+    if type(v) is not float:  # every loaded degree and checked result passes here
         try:
             if isinstance(v, (bool, str)):  # JSON true or "0.5" is not a degree
                 raise TypeError
@@ -75,11 +77,22 @@ def _product_residuum(x: float, y: float) -> float:
     return (math.ldexp(y, 1074) + 0.5) / math.ldexp(x, 1074)
 
 
+def _checked(name: str, op: BinaryOp) -> BinaryOp:
+    def checked(x: float, y: float) -> float:
+        try:
+            return validate_degree(op(x, y), "result")
+        except DegreeRangeError as exc:  # the call is named only on failure
+            raise DegreeRangeError(f"{name}({x!r}, {y!r}): {exc}") from None
+    return checked
+
+
 class Structure:
     """A residuated lattice on [0, 1]: t-norm, residuum, comparison tolerance.
 
-    Instances are immutable value objects; all methods are pure functions and
-    safe to use from any number of threads.
+    A pair other than a built-in one has each result checked at the call: an
+    int becomes a float, anything but a real number in [0, 1] raises
+    ``DegreeRangeError``. Instances are immutable value objects; all methods
+    are pure functions and safe to use from any number of threads.
     """
 
     __slots__ = ("kind", "tnorm", "residuum", "eps_cmp")
@@ -88,6 +101,8 @@ class Structure:
                  eps_cmp: float = DEFAULT_EPS):
         if not 0.0 <= eps_cmp < math.inf:  # NaN fails both comparisons
             raise ValueError(f"eps_cmp must be a finite number >= 0, got {eps_cmp!r}")
+        if (tnorm, residuum) not in _BUILTINS.values():
+            tnorm, residuum = _checked("tnorm", tnorm), _checked("residuum", residuum)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "tnorm", tnorm)
         object.__setattr__(self, "residuum", residuum)
@@ -140,6 +155,6 @@ def custom_structure(tnorm: BinaryOp, residuum: BinaryOp,
     The pair is expected to satisfy the adjunction x (x) y <= z iff
     x <= (y => z) and the laws (L1) x (x) y <= x (x) 1.0 and (L2)
     (x => y) >= y, which the kernel's skipped calls rely on: only then do its
-    outputs match ``naive_dbsim``. Nothing is checked here.
+    outputs match ``naive_dbsim``. Only the results are checked, at the call.
     """
     return Structure("custom", tnorm, residuum, eps_cmp)

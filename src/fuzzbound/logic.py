@@ -372,7 +372,7 @@ def formula_bound_relation(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
           else st.biresiduum)
     va = eval_formula(st, a, formula)
     vb = eval_formula(st, b, formula)
-    return FuzzyRelation(
+    return FuzzyRelation.trusted(
         a.num_states, b.num_states,
         tuple(tuple(op(x_val, y_val) for y_val in vb.degrees)
               for x_val in va.degrees))

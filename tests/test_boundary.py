@@ -30,7 +30,12 @@ from fuzzbound import (
 )
 from fuzzbound.automata import FuzzyAutomaton, require_word_bound
 from fuzzbound.cli import run
-from fuzzbound.errors import DegreeRangeError, FuzzboundError, WordCapExceeded
+from fuzzbound.errors import (
+    DegreeRangeError,
+    FuzzboundError,
+    RelationCapExceeded,
+    WordCapExceeded,
+)
 
 from conftest import chain_automaton, chain_automaton_variant
 
@@ -123,6 +128,22 @@ class TestLoaders:
         rel = raises_only_fuzzbound_errors(relation_from_json, doc)
         if rel is not None:
             assert relation_from_json(relation_to_json(rel)) == rel
+
+    @pytest.mark.parametrize("rows, cols", [
+        (4097, 4096), (2 ** 24 + 1, 1), (1, 2 ** 24 + 1), (10 ** 5, 10 ** 5),
+        (10 ** 9, 0)])
+    def test_declared_size_over_the_cap_is_refused_before_allocating(
+            self, rows, cols):
+        # Without a shape nothing bounds the declared size but the cap on
+        # cells; an empty row still costs a slot of the grid.
+        tracemalloc.start()
+        try:
+            with pytest.raises(RelationCapExceeded):
+                relation_from_json({"rows": rows, "cols": cols, "entries": []})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     @pytest.mark.parametrize("value", [HUGE, -HUGE], ids=["huge", "-huge"])
     def test_integer_too_large_for_a_float_is_a_range_error(self, value):
@@ -241,7 +262,7 @@ REQUIRED = {
 }
 FLAGS = ["--left", "--right", "--depth", "--trace", "--mode", "--max-iters",
          "--tol", "--relation", "--word", "--max-len", "--expr", "--tnorm",
-         "--eps", "--output", "--unknown"]
+         "--eps", "--output", "--unknown", "-h", "--help"]
 GOOD = {
     "--depth": ["0", "1", "3"], "--max-iters": ["1", "5"], "--max-len": ["0", "3"],
     "--mode": ["sim", "bisim", "dbsim", "dbbisim"], "--word": ["s", "s s", ""],
@@ -294,6 +315,8 @@ class TestCli:
             assert code in (0, 1, 2, 3)
             if code == 0:
                 text = out.getvalue()
+                if {"-h", "--help"} & set(argv) and text.startswith("usage: "):
+                    return  # the help, printed when parsing reached the flag
                 if "--output" not in argv:
                     assert text.count("\n") == 1
                     json.loads(text)

@@ -16,8 +16,9 @@ from fuzzbound import (
     relation_to_json,
     structure,
 )
+from fuzzbound import fuzzy
 from fuzzbound.cli import _emit, run
-from fuzzbound.dbsim import MAX_TRACE_CELLS
+from fuzzbound.fuzzy import MAX_CELLS
 from fuzzbound.oracle import RandomAutomatonSpec, generate_automaton
 
 from conftest import STRUCTURE_NAMES, chain_automaton, chain_automaton_variant
@@ -116,6 +117,26 @@ class TestDepthBounded:
         assert run(["dbsim", "--left", left, "--right", right,
                     "--depth", "-2"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["dbsim", "--depth", "-1"], "iteration bound must be >= 0"),
+        (["dbbisim", "--depth", "-1"], "iteration bound must be >= 0"),
+        (["greatest", "--max-iters", "0"], "max_iters must be >= 1"),
+    ], ids=["dbsim", "dbbisim", "greatest"])
+    def test_bad_bound_is_input_error_before_the_alphabets(
+            self, files, tmp_path, capsys, argv, message):
+        # The API checks the bound before it compares the alphabets, so a
+        # bad bound exits 1 even on automata that exit 2 with a good one.
+        left, right = files
+        doc = automaton_to_json(chain_automaton_variant())
+        doc["alphabet"] = ["t"]
+        doc["transitions"] = [dict(t, symbol="t") for t in doc["transitions"]]
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(doc))
+        for path in (right, str(other)):
+            assert run(argv + ["--left", left, "--right", path]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and message in err
+
     def test_unknown_tnorm(self, files):
         left, right = files
         assert run(["dbsim", "--left", left, "--right", right,
@@ -205,7 +226,7 @@ class TestTraceCap:
     ])
     def test_over_the_cap_is_a_resource_error(self, files, capsys, argv):
         left, right = files
-        steps = MAX_TRACE_CELLS // 4   # (steps + 1) * 2 * 2 > the cap
+        steps = MAX_CELLS // 4   # (steps + 1) * 2 * 2 > the cap
         argv = [arg.format(steps=steps) for arg in argv]
         assert run(argv + ["--left", left, "--right", right]) == 3
         captured = capsys.readouterr()
@@ -221,8 +242,8 @@ class TestTraceCap:
     def test_benchmark_sized_runs_are_far_under_the_cap(self):
         # cli-session traces depth 4 on 80-state pairs; greatest runs at most
         # 60 iterations on 100-state pairs.
-        assert 100 * (4 + 1) * 80 * 80 <= MAX_TRACE_CELLS
-        assert 10 * (60 + 1) * 100 * 100 <= MAX_TRACE_CELLS
+        assert 100 * (4 + 1) * 80 * 80 <= MAX_CELLS
+        assert 10 * (60 + 1) * 100 * 100 <= MAX_CELLS
 
 
 class TestCheck:
@@ -293,6 +314,18 @@ class TestCheck:
                 tracemalloc.stop()
             assert code == 2
             assert peak < 2_000_000, f"{mode}: peak {peak} bytes"
+
+    def test_relation_over_the_cell_cap_is_a_resource_error(
+            self, files, tmp_path, capsys, monkeypatch):
+        # Only automata of more than 2**24 state pairs reach the real cap
+        # here, since the declared shape is compared with theirs first.
+        monkeypatch.setattr(fuzzy, "MAX_CELLS", 3)
+        left, right = files
+        rel = tmp_path / "rel.json"
+        rel.write_text(json.dumps({"rows": 2, "cols": 2, "entries": []}))
+        assert run(["check", "--left", left, "--right", right,
+                    "--relation", str(rel), "--mode", "sim"]) == 3
+        assert "over the cap of 3 cells" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [
         {"rows": -1, "cols": 2, "entries": []},
@@ -472,6 +505,11 @@ class TestLang:
         assert run(["lang", "--left", str(path), "--word", "s"]) == 1
         assert f"'{named}'" in capsys.readouterr().err
 
+    def test_negative_length_bound_is_input_error(self, files, capsys):
+        left, _ = files
+        assert run(["lang", "--left", left, "--max-len", "-1"]) == 1
+        assert "word-length bound must be >= 0" in capsys.readouterr().err
+
     def test_word_cap_exit_code(self, tmp_path):
         doc = {
             "alphabet": ["a", "b"],
@@ -529,6 +567,13 @@ class TestEnvironment:
             "--tnorm", "godel"])
         assert code == 0
         assert degree(doc["phi_k"], 0, 0) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["dbsim", "--help"],
+                                      ["greatest", "-h"]])
+    def test_help_is_printed_and_returns_zero(self, capsys, argv):
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: fuzzbound") and err == ""
 
     def test_usage_error_exit_code(self, files):
         assert run(["dbsim", "--depth", "1"]) == 1

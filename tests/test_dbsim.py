@@ -464,8 +464,8 @@ class TestCustomStructure:
 
     def test_degree_below_zero_after_first_round_is_refused(self):
         # A residuum that maps 0.4 to 0.35 and 0.35 out of range. 0.35 is
-        # first a bound in round 2, which lowers few of the cells, so only
-        # the cells that round writes are validated when it is frozen.
+        # first a bound in round 2, so only that round calls the residuum
+        # with it; the structure checks the result at the call.
         special = {0.4: 0.35, 0.35: -0.5}
         st = custom_structure(
             tnorm=min,

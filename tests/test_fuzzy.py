@@ -134,8 +134,8 @@ class TestCompose:
             compose_rel_rel(st, one, one)
 
     def test_non_float_output_is_validated(self):
-        # Cells are frozen without the validating constructor, so values of
-        # another type must still be converted or refused.
+        # Cells are frozen without the validating constructor; the custom
+        # structure converts or refuses a value of another type at the call.
         one = FuzzyRelation(1, 2, ((0.6, 0.0),))
         ints = custom_structure(lambda x, y: 1, lambda x, y: 1.0)
         out = compose_rel_rel(ints, one, FuzzyRelation(2, 1, ((0.5,), (0.5,))))

@@ -11,8 +11,9 @@ from fuzzbound import (
     subset_degree,
     validate_degree,
 )
+from fuzzbound import lattice
 from fuzzbound.errors import DegreeRangeError
-from fuzzbound.lattice import STRUCTURE_NAMES
+from fuzzbound.lattice import STRUCTURE_NAMES, Structure
 
 EPS = 1e-9
 
@@ -133,6 +134,48 @@ class TestLatticeLaws:
         assert left == pytest.approx(right, abs=EPS)
 
 
+# Floats at the edges of [0, 1]: the smallest subnormal, the smallest normal,
+# the largest float below 1, and a sum that is not the decimal it spells.
+EDGE_FLOATS = (0.0, 5e-324, 2.0 ** -1022, 1.0 - 2.0 ** -53, 0.1 + 0.2, 1.0)
+unit_floats = strat.sampled_from(EDGE_FLOATS) | degrees
+
+
+def assert_closed(st, x, y):
+    for v in (st.tnorm(x, y), st.residuum(x, y), st.biresiduum(x, y)):
+        assert type(v) is float and 0.0 <= v <= 1.0, (x, y, v)
+
+
+def assert_l1(st, x, y):
+    assert st.tnorm(x, y) <= st.tnorm(x, 1.0), (x, y)
+
+
+def assert_l2(st, x, y):
+    assert st.residuum(x, y) >= y, (x, y)
+
+
+class TestBuiltinsInFloats:
+    # Exactly, with no tolerance: relations computed from the built-ins are
+    # frozen unchecked, and the round kernel skips calls by (L1) and (L2).
+
+    @given(x=unit_floats, y=unit_floats)
+    def test_operations_map_unit_floats_to_unit_floats(self, st, x, y):
+        assert_closed(st, x, y)
+
+    @given(x=unit_floats, y=unit_floats)
+    def test_l1_tnorm_is_at_most_its_value_at_one(self, st, x, y):
+        assert_l1(st, x, y)
+
+    @given(x=unit_floats, y=unit_floats)
+    def test_l2_residuum_is_at_least_its_consequent(self, st, x, y):
+        assert_l2(st, x, y)
+
+    @pytest.mark.parametrize("law", [assert_closed, assert_l1, assert_l2])
+    def test_every_pair_of_edge_floats(self, st, law):
+        for x in EDGE_FLOATS:
+            for y in EDGE_FLOATS:
+                law(st, x, y)
+
+
 class TestConstruction:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown structure"):
@@ -162,6 +205,32 @@ class TestConstruction:
         assert drastic_like.kind == "custom"
         assert drastic_like.tnorm(0.4, 0.5) == 0.0
         assert drastic_like.tnorm(0.4, 1.0) == 0.4
+
+    @pytest.mark.parametrize("bad", [-0.5, 1.5, float("nan"), True, "0.5"],
+                             ids=["negative", "above-one", "nan", "bool", "str"])
+    @pytest.mark.parametrize("make", [
+        lambda t, r: custom_structure(t, r),
+        lambda t, r: Structure("direct", t, r)], ids=["custom", "direct"])
+    def test_foreign_result_out_of_range_is_refused_at_the_call(self, make, bad):
+        godel = structure("godel")
+        st = make(lambda x, y: bad, godel.residuum)
+        with pytest.raises(DegreeRangeError, match=r"tnorm\(0\.25, 0\.5\)"):
+            st.tnorm(0.25, 0.5)
+        st = make(godel.tnorm, lambda x, y: bad)
+        with pytest.raises(DegreeRangeError, match=r"residuum\(0\.5, 0\.25\)"):
+            st.residuum(0.5, 0.25)
+        with pytest.raises(DegreeRangeError):
+            st.biresiduum(0.5, 0.25)
+
+    def test_foreign_int_result_becomes_a_float(self):
+        st = custom_structure(lambda x, y: 1, lambda x, y: 0)
+        assert type(st.tnorm(0.5, 0.5)) is float and st.tnorm(0.5, 0.5) == 1.0
+        assert type(st.residuum(0.5, 0.5)) is float
+
+    @pytest.mark.parametrize("name", STRUCTURE_NAMES)
+    def test_builtins_run_unwrapped(self, name):
+        st = structure(name)
+        assert (st.tnorm, st.residuum) == lattice._BUILTINS[name]
 
     def test_structures_are_immutable(self):
         st = structure("godel")
