@@ -8,8 +8,7 @@ into successor/predecessor adjacency lists by :func:`build_index`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
     AlphabetMismatch,
@@ -20,7 +19,7 @@ from .errors import (
     WordCapExceeded,
 )
 from .fuzzy import FuzzyRelation, FuzzySet, compose_set_rel, inverse, subset_degree
-from .lattice import Structure, validate_degree
+from .lattice import Frozen, Structure, validate_degree
 
 DEFAULT_WORD_CAP = 10**6
 
@@ -28,55 +27,51 @@ Transition = tuple[int, int, float]
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FuzzyAutomaton:
+class FuzzyAutomaton(Frozen):
     """A fuzzy automaton: states, alphabet, graded transitions and end sets."""
 
-    num_states: int
-    alphabet: tuple[str, ...]
-    transitions: tuple[tuple[Transition, ...], ...]  # per symbol index
-    initial: FuzzySet
-    terminal: FuzzySet
-    state_names: tuple[str, ...] = field(default=None)  # type: ignore[assignment]
+    __slots__ = ("num_states", "alphabet", "transitions", "initial", "terminal",
+                 "state_names")
 
-    def __post_init__(self):
-        if self.num_states < 1:
+    def __init__(self, num_states: int, alphabet: tuple[str, ...],
+                 transitions: tuple[tuple[Transition, ...], ...],  # per symbol index
+                 initial: FuzzySet, terminal: FuzzySet,
+                 state_names: Optional[tuple[str, ...]] = None):
+        if num_states < 1:
             raise ValueError("an automaton needs at least one state")
-        if len(set(self.alphabet)) != len(self.alphabet):
+        if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet symbols must be distinct")
-        if self.state_names is None:
-            object.__setattr__(
-                self, "state_names",
-                tuple(f"q{i}" for i in range(self.num_states)))
-        if len(self.state_names) != self.num_states:
+        if state_names is None:
+            state_names = tuple(f"q{i}" for i in range(num_states))
+        if len(state_names) != num_states:
             raise ValueError("state_names length must equal num_states")
-        if len(set(self.state_names)) != self.num_states:
+        if len(set(state_names)) != num_states:
             raise ValueError("state names must be distinct")
-        if len(self.transitions) != len(self.alphabet):
+        if len(transitions) != len(alphabet):
             raise ValueError("one transition list per alphabet symbol expected")
-        if self.initial.size != self.num_states or self.terminal.size != self.num_states:
+        if initial.size != num_states or terminal.size != num_states:
             raise ValueError("initial/terminal sets must range over the states")
         seen: set[tuple[int, int, int]] = set()
         normalized = []
-        for s, triples in enumerate(self.transitions):
+        for s, triples in enumerate(transitions):
             per_symbol = []
             for x, y, d in triples:
-                if not (0 <= x < self.num_states and 0 <= y < self.num_states):
+                if not (0 <= x < num_states and 0 <= y < num_states):
                     raise ValueError(f"transition ({x}, {y}) out of state range")
                 if type(d) is not float or not 0.0 < d <= 1.0:
-                    what = (f"degree of transition {self.state_names[x]} "
-                            f"-{self.alphabet[s]}-> {self.state_names[y]}")
+                    what = (f"degree of transition {state_names[x]} "
+                            f"-{alphabet[s]}-> {state_names[y]}")
                     d = validate_degree(d, what)
                     if d == 0.0:
                         raise DegreeRangeError(f"{what} must lie in (0, 1], got {d!r}")
                 if (s, x, y) in seen:
                     raise ValueError(
-                        f"duplicate transition for symbol {self.alphabet[s]!r}: "
-                        f"({x}, {y})")
+                        f"duplicate transition for symbol {alphabet[s]!r}: ({x}, {y})")
                 seen.add((s, x, y))
                 per_symbol.append((x, y, d))
             normalized.append(tuple(per_symbol))
-        object.__setattr__(self, "transitions", tuple(normalized))
+        self._init(num_states, alphabet, tuple(normalized), initial, terminal,
+                   state_names)
 
     @classmethod
     def build(cls, alphabet: Sequence[str], states: Sequence[str],
@@ -130,21 +125,23 @@ class FuzzyAutomaton:
         """The dense relation of one symbol's transitions."""
         n = self.num_states
         grid = [[0.0] * n for _ in range(n)]
-        for x, y, d in self.transitions[s]:  # validated in __post_init__
+        for x, y, d in self.transitions[s]:  # validated in __init__
             grid[x][y] = d
         return FuzzyRelation.trusted(n, n, tuple(map(tuple, grid)))
 
 
-@dataclass(frozen=True)
-class SuccPredIndex:
+class SuccPredIndex(Frozen):
     """Successor and predecessor adjacency views of the same transitions.
 
     ``succ[s][x]`` lists (target, degree) pairs, ``pred[s][y]`` lists
     (source, degree) pairs; both enumerate exactly the positive transitions.
     """
 
-    succ: tuple[tuple[tuple[tuple[int, float], ...], ...], ...]
-    pred: tuple[tuple[tuple[tuple[int, float], ...], ...], ...]
+    __slots__ = ("succ", "pred")
+
+    def __init__(self, succ: tuple[tuple[tuple[tuple[int, float], ...], ...], ...],
+                 pred: tuple[tuple[tuple[tuple[int, float], ...], ...], ...]):
+        self._init(succ, pred)
 
 
 def build_index(automaton: FuzzyAutomaton) -> SuccPredIndex:

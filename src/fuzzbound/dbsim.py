@@ -17,7 +17,6 @@ fuzzy (bi)simulation, which is checked as the constant chain (rel, rel).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import ne
 from typing import Optional, Sequence
@@ -41,7 +40,7 @@ from .fuzzy import (
     relation_to_json,
     set_leq,
 )
-from .lattice import Structure
+from .lattice import Frozen, Structure
 
 MODE_SIM = "simulation"
 MODE_BISIM = "bisimulation"
@@ -61,8 +60,7 @@ def canonical_mode(mode: str) -> str:
         raise ValueError(f"unknown mode {mode!r} (use 'sim' or 'bisim')") from None
 
 
-@dataclass(frozen=True)
-class DbSimResult:
+class DbSimResult(Frozen):
     """Outcome of a depth-bounded (bi)simulation computation.
 
     ``prefix`` holds the computed components phi_0..phi_i when tracing was on,
@@ -73,13 +71,13 @@ class DbSimResult:
     (iteration budget exhausted without converging).
     """
 
-    mode: str
-    requested: int
-    prefix: tuple[FuzzyRelation, ...]
-    norms: tuple[float, ...]
-    fixpoint_at: Optional[int]
-    status: str
-    traced: bool
+    __slots__ = ("mode", "requested", "prefix", "norms", "fixpoint_at", "status",
+                 "traced")
+
+    def __init__(self, mode: str, requested: int, prefix: tuple[FuzzyRelation, ...],
+                 norms: tuple[float, ...], fixpoint_at: Optional[int], status: str,
+                 traced: bool):
+        self._init(mode, requested, prefix, norms, fixpoint_at, status, traced)
 
     @property
     def relation(self) -> FuzzyRelation:

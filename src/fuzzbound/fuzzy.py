@@ -7,13 +7,12 @@ operations treat their inputs as immutable and return fresh values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, le
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, InputFormatError, RelationCapExceeded
-from .lattice import Structure, validate_degree
+from .lattice import Frozen, Structure, validate_degree
 
 # The most degrees a loaded relation, or the components of a traced run, may
 # hold: 2**24 cells are 128 MiB of tuple slots alone, before any float they
@@ -21,16 +20,13 @@ from .lattice import Structure, validate_degree
 MAX_CELLS = 2 ** 24
 
 
-@dataclass(frozen=True)
-class FuzzySet:
+class FuzzySet(Frozen):
     """A degree vector over 0..size-1."""
 
-    degrees: tuple[float, ...]
+    __slots__ = ("degrees",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "degrees",
-            tuple(validate_degree(v, "fuzzy-set degree") for v in self.degrees))
+    def __init__(self, degrees: Iterable[float]):
+        self._init(tuple(validate_degree(v, "fuzzy-set degree") for v in degrees))
 
     @property
     def size(self) -> int:
@@ -50,26 +46,23 @@ class FuzzySet:
         return not any(v > 0.0 for v in self.degrees)
 
 
-@dataclass(frozen=True)
-class FuzzyRelation:
+class FuzzyRelation(Frozen):
     """A dense degree matrix over rows x cols."""
 
-    rows: int
-    cols: int
-    degrees: tuple[tuple[float, ...], ...] = field(default=None)  # type: ignore[assignment]
+    __slots__ = ("rows", "cols", "degrees")
 
-    def __post_init__(self):
-        if self.degrees is None:
-            grid = tuple((0.0,) * self.cols for _ in range(self.rows))
+    def __init__(self, rows: int, cols: int,
+                 degrees: Optional[Iterable[Iterable[float]]] = None):
+        if degrees is None:
+            grid = tuple((0.0,) * cols for _ in range(rows))
         else:
-            grid = tuple(tuple(row) for row in self.degrees)
-        if len(grid) != self.rows or any(len(row) != self.cols for row in grid):
-            raise DimensionMismatch(
-                f"relation grid does not match shape {self.rows}x{self.cols}")
+            grid = tuple(tuple(row) for row in degrees)
+        if len(grid) != rows or any(len(row) != cols for row in grid):
+            raise DimensionMismatch(f"relation grid does not match shape {rows}x{cols}")
         for row in grid:
             for v in row:
                 validate_degree(v, "relation degree")
-        object.__setattr__(self, "degrees", grid)
+        self._init(rows, cols, grid)
 
     def __getitem__(self, pair: tuple[int, int]) -> float:
         r, c = pair
@@ -81,7 +74,7 @@ class FuzzyRelation:
         """A relation over a tuple grid of the given shape, unchecked: each
         cell must be a float in [0, 1] already (see :mod:`fuzzbound.lattice`)."""
         rel = object.__new__(cls)
-        rel.__dict__.update(rows=rows, cols=cols, degrees=degrees)
+        rel._init(rows, cols, degrees)
         return rel
 
     @staticmethod

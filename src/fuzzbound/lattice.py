@@ -10,6 +10,9 @@ continuous, which the fixpoint results rely on; this is a documented
 assumption, not a runtime check. The round kernel also relies on two laws
 that follow from monotonicity and adjunction and that the built-ins keep in
 floats: (L1) x (x) y <= x (x) 1.0 and (L2) (x => y) >= y.
+
+:class:`Frozen` is the immutable base of ``Structure`` and of the package's
+other value classes (sets, relations, automata, results, formulas).
 """
 
 from __future__ import annotations
@@ -86,7 +89,54 @@ def _checked(name: str, op: BinaryOp) -> BinaryOp:
     return checked
 
 
-class Structure:
+def _restore(cls, fields):
+    obj = object.__new__(cls)
+    obj._init(*fields)
+    return obj
+
+
+class Frozen:
+    """Base of the immutable value classes.
+
+    A subclass names its fields in ``__slots__``, in the order of its
+    constructor's parameters, and sets each once with :meth:`_init`. Two
+    instances are equal when they are of the same class and their fields are
+    equal, and hash alike then. Pickling and copying restore the fields
+    without running ``__init__`` again.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} instances are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} instances are immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return _restore, (type(self), self._fields())
+
+
+class Structure(Frozen):
     """A residuated lattice on [0, 1]: t-norm, residuum, comparison tolerance.
 
     A pair other than a built-in one has each result checked at the call: an
@@ -103,13 +153,7 @@ class Structure:
             raise ValueError(f"eps_cmp must be a finite number >= 0, got {eps_cmp!r}")
         if (tnorm, residuum) not in _BUILTINS.values():
             tnorm, residuum = _checked("tnorm", tnorm), _checked("residuum", residuum)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "tnorm", tnorm)
-        object.__setattr__(self, "residuum", residuum)
-        object.__setattr__(self, "eps_cmp", eps_cmp)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Structure instances are immutable")
+        self._init(kind, tnorm, residuum, eps_cmp)
 
     def __repr__(self) -> str:
         return f"Structure({self.kind!r}, eps_cmp={self.eps_cmp!r})"

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
 from .automata import FuzzyAutomaton, build_index, pull_back
 from .errors import DialectError, FormulaSyntaxError
 from .fuzzy import FuzzyRelation, FuzzySet, compose_rel_set, inverse, set_leq
-from .lattice import Structure, validate_degree
+from .lattice import Frozen, Structure, validate_degree
 
 DIALECT_SIM = "sim"
 DIALECT_BISIM = "bisim"
@@ -36,47 +35,42 @@ DIALECT_BISIM = "bisim"
 MAX_NESTING = 256
 
 
-class Formula:
+class Formula(Frozen):
     """Base class for formula nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Tau(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Dia(Formula):
-    symbol: str
-    child: Formula
+    __slots__ = ("symbol", "child")
+
+    def __init__(self, symbol: str, child: Formula):
+        self._init(symbol, child)
 
 
-@dataclass(frozen=True)
 class Imp(Formula):
-    constant: float
-    child: Formula
+    __slots__ = ("constant", "child")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "constant", validate_degree(self.constant, "formula constant"))
+    def __init__(self, constant: float, child: Formula):
+        self._init(validate_degree(constant, "formula constant"), child)
 
 
-@dataclass(frozen=True)
 class Equiv(Formula):
-    constant: float
-    child: Formula
+    __slots__ = ("constant", "child")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "constant", validate_degree(self.constant, "formula constant"))
+    def __init__(self, constant: float, child: Formula):
+        self._init(validate_degree(constant, "formula constant"), child)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        self._init(left, right)
 
 
 def formula_depth(formula: Formula) -> int:

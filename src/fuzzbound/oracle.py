@@ -11,7 +11,6 @@ word.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .automata import (
@@ -27,30 +26,28 @@ from .automata import (
 )
 from .dbsim import MODE_BISIM, canonical_mode
 from .fuzzy import FuzzySet
-from .lattice import Structure, validate_degree
+from .lattice import Frozen, Structure, validate_degree
 
 DEFAULT_DEGREE_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 
-@dataclass(frozen=True)
-class RandomAutomatonSpec:
+class RandomAutomatonSpec(Frozen):
     """Parameters for deterministic random automaton generation."""
 
-    num_states: int
-    num_symbols: int
-    transition_density: float
-    degree_grid: tuple[float, ...] = DEFAULT_DEGREE_GRID
-    seed: int = 0
+    __slots__ = ("num_states", "num_symbols", "transition_density", "degree_grid",
+                 "seed")
 
-    def __post_init__(self):
-        if self.num_states < 1 or self.num_symbols < 1:
+    def __init__(self, num_states: int, num_symbols: int, transition_density: float,
+                 degree_grid: tuple[float, ...] = DEFAULT_DEGREE_GRID, seed: int = 0):
+        if num_states < 1 or num_symbols < 1:
             raise ValueError("need at least one state and one symbol")
-        if not 0.0 <= self.transition_density <= 1.0:
+        if not 0.0 <= transition_density <= 1.0:
             raise ValueError("transition_density must lie in [0, 1]")
-        for d in self.degree_grid:
+        for d in degree_grid:
             validate_degree(d, "grid degree")
             if d <= 0.0:
                 raise ValueError("grid degrees must be strictly positive")
+        self._init(num_states, num_symbols, transition_density, degree_grid, seed)
 
 
 def generate_automaton(spec: RandomAutomatonSpec) -> FuzzyAutomaton:
@@ -147,28 +144,28 @@ def naive_dbsim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, k: int,
     return chain
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Frozen):
     """One witnessed failure of a language inequality.
 
     ``x``/``xp`` are None for failures of the norm-level inequality.
     """
 
-    x: Optional[int]
-    xp: Optional[int]
-    word: tuple[int, ...]
-    lhs: float
-    rhs: float
+    __slots__ = ("x", "xp", "word", "lhs", "rhs")
+
+    def __init__(self, x: Optional[int], xp: Optional[int], word: tuple[int, ...],
+                 lhs: float, rhs: float):
+        self._init(x, xp, word, lhs, rhs)
 
     def to_json(self) -> dict:
         return {"x": self.x, "xp": self.xp, "word": list(self.word),
                 "lhs": self.lhs, "rhs": self.rhs}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    ok: bool
-    violations: tuple[Violation, ...] = field(default=())
+class VerificationReport(Frozen):
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[Violation, ...] = ()):
+        self._init(ok, violations)
 
     def to_json(self) -> dict:
         return {"ok": self.ok,

@@ -2,10 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as strat
 
 from fuzzbound import (
     FuzzyAutomaton,
     FuzzyRelation,
+    FuzzySet,
     check_bisim,
     check_dbbisim_prefix,
     check_dbsim_prefix,
@@ -573,6 +576,71 @@ class TestLawPruning:
         # (product) of the unpruned counts.
         for made, unpruned in zip(calls, self.UNPRUNED[name]):
             assert made <= 0.7 * unpruned, (calls, self.UNPRUNED[name])
+
+
+# Degrees the fixed populations miss: 1.0, the smallest subnormal, the
+# largest float below 1.0, and a sum that rounds.
+EDGE_DEGREES = (1.0, 5e-324, 1.0 - 2 ** -53, 0.5, 0.1 + 0.2)
+TOP = 1.0 - 2 ** -53
+
+
+def edge_automaton(transitions, initial, terminal):
+    """States 0..len(initial)-1; one tuple of (x, y, d) per symbol."""
+    return FuzzyAutomaton(len(initial), tuple("abc"[:len(transitions)]),
+                          transitions, FuzzySet(initial), FuzzySet(terminal))
+
+
+@strat.composite
+def edge_pairs(draw):
+    """Pairs of 1-4 states each over 1-3 symbols. A transition slot is empty
+    more often than not, so states without successors and symbols without
+    transitions are common."""
+    symbols = draw(strat.integers(1, 3))
+    slot = strat.sampled_from((None,) * 5 + EDGE_DEGREES)
+    end = strat.sampled_from((0.0,) + EDGE_DEGREES)
+
+    def automaton():
+        n = draw(strat.integers(1, 4))
+        transitions = tuple(
+            tuple((x, y, d) for x in range(n) for y in range(n)
+                  for d in [draw(slot)] if d is not None)
+            for _ in range(symbols))
+        ends = strat.lists(end, min_size=n, max_size=n)
+        return edge_automaton(transitions, draw(ends), draw(ends))
+
+    return automaton(), automaton()
+
+
+class TestEdgeShapesAgainstOracle:
+    # Traced compute_* against naive_dbsim on shapes and degrees the fixed
+    # populations miss; derandomized, so every run draws the same pairs.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(pair=edge_pairs(), k=strat.integers(0, 4))
+    @example(pair=(edge_automaton((((0, 0, TOP),),), (1.0,), (5e-324,)),
+                   edge_automaton(((),), (1.0,), (1.0,))), k=4)
+    @example(pair=(edge_automaton((((0, 0, 5e-324),), ()), (1.0,), (TOP,)),
+                   edge_automaton((((0, 1, 1.0), (1, 2, TOP), (0, 2, 5e-324)), ()),
+                                  (1.0, 0.0, 5e-324), (0.0, TOP, 1.0))), k=4)
+    @example(pair=(edge_automaton((((0, 1, 1.0), (1, 2, 0.5), (2, 2, TOP)),),
+                                  (TOP, 0.0, 1.0), (5e-324, 0.5, 1.0)),
+                   edge_automaton((((0, 1, 5e-324),),), (1.0, TOP), (1.0, 5e-324))),
+             k=4)
+    def test_traced_chain_matches_naive(self, pair, k):
+        a, b = pair
+        for name in STRUCTURE_NAMES:
+            st = structure(name)
+            for mode, compute in (("sim", compute_dbsim), ("bisim", compute_dbbisim)):
+                expected = naive_dbsim(st, a, b, k, mode)
+                result = compute(st, a, b, k, trace=True)
+                stable = next((i - 1 for i in range(1, k + 1)
+                               if expected[i] == expected[i - 1]), None)
+                assert result.fixpoint_at == stable, (name, mode)
+                for step, rel in enumerate(expected):
+                    got = result.component(step)
+                    assert (got.rows, got.cols) == (rel.rows, rel.cols)
+                    gap = max((abs(e - g) for erow, grow in zip(rel.degrees, got.degrees)
+                               for e, g in zip(erow, grow)), default=0.0)
+                    assert gap <= 1e-12, (name, mode, step, gap)
 
 
 class TestResultShape:
