@@ -95,6 +95,27 @@ def _restore(cls, fields):
     return obj
 
 
+class _FieldTable:
+    """``__dataclass_fields__`` of a value class, built on first use.
+
+    The value classes used to be dataclasses, so ``dataclasses.replace``,
+    ``fields`` and ``asdict`` still work on them: those functions find their
+    fields here. The module is imported only when one of them asks, so a
+    start that never does never loads it.
+    """
+
+    def __init__(self):
+        self.tables = {}
+
+    def __get__(self, obj, owner):
+        table = self.tables.get(owner)
+        if table is None:
+            import dataclasses
+            table = self.tables[owner] = dataclasses.make_dataclass(
+                owner.__name__, owner.__slots__).__dataclass_fields__
+        return table
+
+
 class Frozen:
     """Base of the immutable value classes.
 
@@ -102,13 +123,16 @@ class Frozen:
     constructor's parameters, and sets each once with :meth:`_init`. Two
     instances are equal when they are of the same class and their fields are
     equal, and hash alike then. Pickling and copying restore the fields
-    without running ``__init__`` again.
+    without running ``__init__`` again. Only the most derived class's
+    ``__slots__`` are the fields, so a class that has fields is not meant to
+    be subclassed with more.
     """
 
     __slots__ = ()
+    __dataclass_fields__ = _FieldTable()
 
     def _init(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:

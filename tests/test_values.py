@@ -6,7 +6,9 @@ deletion, print like ``Name(field=value, ...)`` and survive pickle and copy.
 """
 
 import copy
+import dataclasses
 import inspect
+import json
 import os
 import pickle
 import subprocess
@@ -18,6 +20,7 @@ import pytest
 from fuzzbound import (
     And,
     DbSimResult,
+    DegreeRangeError,
     Dia,
     Equiv,
     FuzzyAutomaton,
@@ -40,7 +43,8 @@ from fuzzbound.oracle import (
     Violation,
 )
 
-from conftest import chain_automaton, chain_pair
+from conftest import chain_automaton, chain_automaton_variant, chain_pair
+from test_cli import automaton_to_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -109,6 +113,13 @@ class TestValueSemantics:
     def test_constructor_parameters_name_the_fields(self, cls):
         assert tuple(inspect.signature(cls).parameters) == cls.__slots__
 
+    def test_dataclasses_functions_still_apply(self, cls):
+        value = BUILDERS[cls]()
+        assert dataclasses.is_dataclass(value)
+        assert tuple(f.name for f in dataclasses.fields(cls)) == cls.__slots__
+        back = dataclasses.replace(value)
+        assert type(back) is cls and back == value
+
 
 def test_same_fields_of_another_class_are_unequal():
     assert Imp(0.5, Tau()) != Equiv(0.5, Tau())
@@ -163,19 +174,42 @@ def test_copied_custom_structure_is_not_wrapped_again():
     assert back == st and back.tnorm is st.tnorm
 
 
-def test_import_loads_no_dataclasses():
+def test_dataclasses_replace_builds_through_the_constructor():
+    result = BUILDERS[DbSimResult]()
+    lowered = dataclasses.replace(result, norms=result.norms[:-1] + (0.0,))
+    assert type(lowered) is DbSimResult and lowered != result
+    assert lowered.prefix == result.prefix and lowered.norms[-1] == 0.0
+    with pytest.raises(DegreeRangeError):
+        dataclasses.replace(FuzzySet((0.5,)), degrees=(1.5,))
+
+
+@pytest.mark.parametrize("values", [("s",), ("s", Tau(), 1)], ids=["short", "long"])
+def test_init_refuses_a_wrong_number_of_fields(values):
+    with pytest.raises(ValueError):
+        object.__new__(Dia)._init(*values)
+
+
+def test_import_loads_no_dataclasses(tmp_path):
     # The value classes are plain slotted classes, so neither the package nor
     # the CLI pays for importing dataclasses (and inspect, ast, dis, tokenize
-    # with it) at every start.
+    # with it) at every start, nor while it runs a command.
     heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    left, right = tmp_path / "left.json", tmp_path / "right.json"
+    left.write_text(json.dumps(automaton_to_json(chain_automaton())))
+    right.write_text(json.dumps(automaton_to_json(chain_automaton_variant())))
+    argv = ["dbbisim", "--left", str(left), "--right", str(right), "--depth", "2",
+            "--output", str(tmp_path / "out.json")]
     code = ("import sys\n"
             "import fuzzbound\n"
             f"print([m for m in {heavy!r} if m in sys.modules])\n"
             "import fuzzbound.cli\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])\n"
+            f"print(fuzzbound.cli.run({argv!r}))\n"
             f"print([m for m in {heavy!r} if m in sys.modules])\n")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["[]", "[]", ""]
+    assert proc.stdout.split("\n") == ["[]", "[]", "0", "[]", ""]
+    assert json.loads((tmp_path / "out.json").read_text())["mode"] == "bisimulation"
