@@ -165,9 +165,17 @@ def _capped(st: Structure, index: SuccPredIndex) -> list:
              for succ_x in succ_s] for succ_s in index.succ]
 
 
+def _floored(st: Structure, index: SuccPredIndex) -> list:
+    # The predecessor view of _pass: per symbol and state, each (x, d) as
+    # (x, d, floor) with floor = d => 0.0, below which no bound lowers a cell.
+    residuum = st.residuum
+    return [[[(x, d, residuum(d, 0.0)) for x, d in pred_y] for pred_y in pred_s]
+            for pred_s in index.pred]
+
+
 def _pass(st: Structure, grid: list[list[float]],
           prev: Sequence[Sequence[float]], caps: list, right: SuccPredIndex,
-          left: SuccPredIndex, changed: Optional[_Changes]) -> tuple[float, int]:
+          floors: list, changed: Optional[_Changes]) -> tuple[float, int]:
     """Lower grid to the transition condition against prev.
 
     Returns the largest single drop and the number of lowerings.
@@ -179,7 +187,8 @@ def _pass(st: Structure, grid: list[list[float]],
     hoisted out of the inner loops. The simulation condition is the call on
     the x'-major working grid with prev = phi_{i-1} and (right, left) =
     (b, a); the bisimulation's mirrored condition swaps the automata and
-    transposes both relations. ``caps`` is :func:`_capped` of ``right``.
+    transposes both relations. ``caps`` is :func:`_capped` of ``right`` and
+    ``floors`` is :func:`_floored` of ``left``.
 
     A full pass (``changed`` is None) visits every pair (x', y) where y has
     a predecessor. Otherwise only the pairs with a successor cell
@@ -189,31 +198,36 @@ def _pass(st: Structure, grid: list[list[float]],
     nothing. The order is the same (symbol, x', y, x), so the same
     lowerings happen in the same order.
 
-    Calls that cannot lower a cell are skipped by two laws the built-ins
-    keep in floats, (L1) d' (x) p <= d' (x) 1.0 and (L2) (d => b) >= b: by
-    L1 the sup stops at the first cap d' (x) 1.0, largest first, that cannot
-    raise it; by L2 no residuum is taken for a cell at or below the bound,
-    and the pair is left once the bound reaches its largest cell. For a
-    structure that keeps both, the lowerings are those of the full loops.
+    Calls that cannot lower a cell are skipped by three laws the built-ins
+    keep in floats, (L1) d' (x) p <= d' (x) 1.0, (L2) (d => b) >= b and
+    (L3) (d => b) >= (d => 0.0): by L1 the sup stops at the first cap
+    d' (x) 1.0, largest first, that cannot raise it; by L2 no residuum is
+    taken for a cell at or below the bound; by L3 a cell at or below its
+    floor d => 0.0 is settled, since no bound lowers it through that
+    transition. The pair is left once the bound reaches its largest
+    unsettled cell, before any t-norm if every cell is settled, and a row
+    of the grid with no positive cell is not visited. For a structure that
+    keeps the three laws, the lowerings are those of the full loops.
     """
     tnorm = st.tnorm
     residuum = st.residuum
     max_drop = 0.0
     lowered = 0
-    for succ_s, pred_s, back_s in zip(caps, left.pred, right.pred):
+    live = list(map(any, grid))
+    for succ_s, pred_s, back_s in zip(caps, floors, right.pred):
         if changed is None:
             every_y = [(prev_y, pred_list)
                        for prev_y, pred_list in zip(prev, pred_s) if pred_list]
-            work = zip(grid, succ_s, repeat(every_y))
+            work = compress(zip(grid, succ_s, repeat(every_y)), live)
         else:
             work = ((grid[xp], succ_s[xp], ys)
-                    for xp, ys in _revisits(changed, prev, pred_s, back_s))
+                    for xp, ys in _revisits(changed, prev, pred_s, back_s, live))
         for row, succ_list, ys in work:
             for prev_y, pred_list in ys:
                 top = 0.0
-                for x, _ in pred_list:
+                for x, _, floor in pred_list:
                     cur = row[x]
-                    if cur > top:
+                    if cur > top and cur > floor:
                         top = cur
                 bound = 0.0
                 for cap, yp, d in succ_list:
@@ -224,9 +238,9 @@ def _pass(st: Structure, grid: list[list[float]],
                         bound = v
                 if bound >= top:
                     continue
-                for x, d in pred_list:
+                for x, d, floor in pred_list:
                     cur = row[x]
-                    if cur <= bound:
+                    if cur <= bound or cur <= floor:
                         continue
                     new = residuum(d, bound)
                     if new < cur:
@@ -250,10 +264,11 @@ _DENSE_SHARE = 0.5
 
 
 def _revisits(changed: _Changes, prev: Sequence[Sequence[float]], pred_s,
-              back_s) -> list[tuple[int, list]]:
+              back_s, live: list[bool]) -> list[tuple[int, list]]:
     # The pairs (x', y) whose bound reads a changed cell (y, y'): x' is a
-    # predecessor of y'. Grouped by x' ascending, each with its
-    # (prev[y], pred[y]) items, y ascending; y without predecessors is skipped.
+    # predecessor of y' whose row is ``live``. Grouped by x' ascending, each
+    # with its (prev[y], pred[y]) items, y ascending; y without predecessors
+    # is skipped.
     targets: dict[int, list] = {}
     for y, cols in changed:
         pred_list = pred_s[y]
@@ -261,6 +276,8 @@ def _revisits(changed: _Changes, prev: Sequence[Sequence[float]], pred_s,
             item = (prev[y], pred_list)
             for yp in cols:
                 for xp, _ in back_s[yp]:
+                    if not live[xp]:
+                        continue
                     ys = targets.get(xp)
                     if ys is None:
                         targets[xp] = [item]
@@ -298,6 +315,8 @@ def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
     index_b = build_index(b)
     caps_b = _capped(st, index_b)
     caps_a = _capped(st, index_a) if bisim else None
+    floors_a = _floored(st, index_a)
+    floors_b = _floored(st, index_b) if bisim else None
     n_a, n_b = a.num_states, b.num_states
     ia, ib = a.initial.degrees, b.initial.degrees
 
@@ -319,13 +338,13 @@ def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
     for i in range(max_steps + 1):
         if i:
             prev = degrees
-            drop, lowered = _pass(st, grid, prev, caps_b, index_b, index_a,
+            drop, lowered = _pass(st, grid, prev, caps_b, index_b, floors_a,
                                   changed)
             if bisim:
                 prev_t = _transpose(prev)
                 rows = _transpose(grid)
                 mirrored, more = _pass(st, rows, prev_t, caps_a, index_a,
-                                       index_b, columns)
+                                       floors_b, columns)
                 drop = max(drop, mirrored)
                 lowered += more
                 grid = _transpose(rows)

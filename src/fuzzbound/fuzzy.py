@@ -59,10 +59,9 @@ class FuzzyRelation(Frozen):
             grid = tuple(tuple(row) for row in degrees)
         if len(grid) != rows or any(len(row) != cols for row in grid):
             raise DimensionMismatch(f"relation grid does not match shape {rows}x{cols}")
-        for row in grid:
-            for v in row:
-                validate_degree(v, "relation degree")
-        self._init(rows, cols, grid)
+        self._init(rows, cols, tuple(
+            tuple([validate_degree(v, "relation degree") for v in row])
+            for row in grid))
 
     def __getitem__(self, pair: tuple[int, int]) -> float:
         r, c = pair

@@ -7,9 +7,10 @@ tolerance used everywhere degrees are compared. The three classic structures
 unchecked: they map [0, 1] floats to [0, 1] floats, so relations computed
 from them are frozen unchecked. They are linear and their t-norms are
 continuous, which the fixpoint results rely on; this is a documented
-assumption, not a runtime check. The round kernel also relies on two laws
+assumption, not a runtime check. The round kernel also relies on three laws
 that follow from monotonicity and adjunction and that the built-ins keep in
-floats: (L1) x (x) y <= x (x) 1.0 and (L2) (x => y) >= y.
+floats: (L1) x (x) y <= x (x) 1.0, (L2) (x => y) >= y and (L3) x => y is
+monotone in y, so (x => y) >= (x => 0.0).
 
 :class:`Frozen` is the immutable base of ``Structure`` and of the package's
 other value classes (sets, relations, automata, results, formulas).
@@ -221,8 +222,10 @@ def custom_structure(tnorm: BinaryOp, residuum: BinaryOp,
     """Wrap a user-supplied t-norm/residuum pair.
 
     The pair is expected to satisfy the adjunction x (x) y <= z iff
-    x <= (y => z) and the laws (L1) x (x) y <= x (x) 1.0 and (L2)
-    (x => y) >= y, which the kernel's skipped calls rely on: only then do its
-    outputs match ``naive_dbsim``. Only the results are checked, at the call.
+    x <= (y => z) and the laws (L1) x (x) y <= x (x) 1.0, (L2)
+    (x => y) >= y and (L3) (x => y) >= (x => 0.0), which the kernel's skipped
+    calls rely on: only then do its outputs match ``naive_dbsim``. Only the
+    results are checked, at the call. A computation calls ``residuum(d, 0.0)``
+    once per transition of degree d when it starts.
     """
     return Structure("custom", tnorm, residuum, eps_cmp)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -74,6 +75,16 @@ class TestValues:
     def test_relation_rejects_bad_shape(self):
         with pytest.raises(DimensionMismatch):
             FuzzyRelation(2, 2, ((0.1,), (0.2, 0.3)))
+
+    def test_relation_stores_checked_floats(self):
+        # An int cell is stored as the float validate_degree returns, as in
+        # FuzzySet, so the JSON form writes 1.0, not 1.
+        rel = FuzzyRelation(1, 2, ((1, 0),))
+        assert rel.degrees == ((1.0, 0.0),)
+        assert all(type(v) is float for row in rel.degrees for v in row)
+        assert relation_to_json(rel)["entries"] == [[0, 0, 1.0]]
+        assert json.dumps(relation_to_json(rel)["entries"]) == "[[0, 0, 1.0]]"
+        assert rel == FuzzyRelation.trusted(1, 2, ((1.0, 0.0),))
 
     def test_empty_relation_support(self):
         assert FuzzyRelation.empty(2, 3).is_empty()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as strat
@@ -153,9 +155,24 @@ def assert_l2(st, x, y):
     assert st.residuum(x, y) >= y, (x, y)
 
 
+def assert_l3(st, x, y):
+    # Monotone in the consequent: nothing lowers x => y below its floor x => 0.
+    assert st.residuum(x, y) >= st.residuum(x, 0.0), (x, y)
+    for y2 in EDGE_FLOATS:
+        if y <= y2:
+            assert st.residuum(x, y) <= st.residuum(x, y2), (x, y, y2)
+
+
+# A t-norm that is neither continuous nor strict, with its residuum.
+NILPOTENT_MINIMUM = custom_structure(
+    lambda x, y: min(x, y) if x + y > 1.0 else 0.0,
+    lambda x, y: 1.0 if x <= y else max(1.0 - x, y))
+
+
 class TestBuiltinsInFloats:
     # Exactly, with no tolerance: relations computed from the built-ins are
-    # frozen unchecked, and the round kernel skips calls by (L1) and (L2).
+    # frozen unchecked, and the round kernel skips calls by (L1), (L2) and
+    # (L3).
 
     @given(x=unit_floats, y=unit_floats)
     def test_operations_map_unit_floats_to_unit_floats(self, st, x, y):
@@ -169,11 +186,26 @@ class TestBuiltinsInFloats:
     def test_l2_residuum_is_at_least_its_consequent(self, st, x, y):
         assert_l2(st, x, y)
 
-    @pytest.mark.parametrize("law", [assert_closed, assert_l1, assert_l2])
+    @given(x=unit_floats, y=unit_floats, y2=unit_floats)
+    def test_l3_residuum_is_monotone_in_its_consequent(self, st, x, y, y2):
+        assert_l3(st, x, y)
+        low, high = min(y, y2), max(y, y2)
+        assert st.residuum(x, low) <= st.residuum(x, high), (x, low, high)
+
+    @pytest.mark.parametrize("law", [assert_closed, assert_l1, assert_l2, assert_l3])
     def test_every_pair_of_edge_floats(self, st, law):
         for x in EDGE_FLOATS:
             for y in EDGE_FLOATS:
                 law(st, x, y)
+
+    @pytest.mark.parametrize("law", [assert_l1, assert_l2, assert_l3])
+    def test_nilpotent_minimum_keeps_the_laws(self, law):
+        # The custom structure the kernel tests run beside the built-ins.
+        rng = random.Random(11)
+        floats = list(EDGE_FLOATS) + [rng.random() for _ in range(40)]
+        for x in floats:
+            for y in floats:
+                law(NILPOTENT_MINIMUM, x, y)
 
 
 class TestConstruction:
