@@ -17,7 +17,6 @@ from .dbsim import (
     check_dbbisim_prefix,
     check_dbsim_prefix,
     check_sim,
-    compose_prefixes,
     compute_dbbisim,
     compute_dbsim,
     greatest_fixpoint,
@@ -41,8 +40,6 @@ from .fuzzy import (
     FuzzySet,
     compose_rel_rel,
     compose_rel_set,
-    compose_set_rel,
-    equal_degree,
     inverse,
     rel_leq,
     relation_from_json,

@@ -18,7 +18,7 @@ from .errors import (
     UnknownSymbol,
     WordCapExceeded,
 )
-from .fuzzy import FuzzyRelation, FuzzySet, compose_set_rel, inverse, subset_degree
+from .fuzzy import FuzzyRelation, FuzzySet, compose_rel_set, inverse, subset_degree
 from .lattice import Frozen, Structure, validate_degree
 
 DEFAULT_WORD_CAP = 10**6
@@ -166,6 +166,13 @@ def require_same_alphabet(a: FuzzyAutomaton, b: FuzzyAutomaton) -> None:
             f"alphabets differ: {list(a.alphabet)} vs {list(b.alphabet)}")
 
 
+def require_shape(rel: FuzzyRelation, a: FuzzyAutomaton, b: FuzzyAutomaton) -> None:
+    if rel.rows != a.num_states or rel.cols != b.num_states:
+        raise DimensionMismatch(
+            f"relation is {rel.rows}x{rel.cols}, automata have "
+            f"{a.num_states} and {b.num_states} states")
+
+
 def word_from_names(automaton: FuzzyAutomaton, names: Sequence[str]) -> Word:
     """Translate symbol names into the index word the evaluators use."""
     return tuple(automaton.symbol_index(name) for name in names)
@@ -267,12 +274,8 @@ def language_bounded(st: Structure, automaton: FuzzyAutomaton, n: int,
 def sim_norm(st: Structure, rel: FuzzyRelation, a: FuzzyAutomaton,
              b: FuzzyAutomaton) -> float:
     """Graded inclusion of a's initial set in b's, pulled back through rel."""
-    if rel.rows != a.num_states or rel.cols != b.num_states:
-        raise DimensionMismatch(
-            f"relation is {rel.rows}x{rel.cols}, automata have "
-            f"{a.num_states} and {b.num_states} states")
-    pulled = compose_set_rel(st, b.initial, inverse(rel))
-    return subset_degree(st, a.initial, pulled)
+    require_shape(rel, a, b)
+    return subset_degree(st, a.initial, compose_rel_set(st, rel, b.initial))
 
 
 def bisim_norm(st: Structure, rel: FuzzyRelation, a: FuzzyAutomaton,

@@ -27,9 +27,10 @@ from .automata import (
     bisim_norm,
     build_index,
     require_same_alphabet,
+    require_shape,
     sim_norm,
 )
-from .errors import DimensionMismatch, TraceCapExceeded
+from .errors import TraceCapExceeded
 from .fuzzy import (
     MAX_CELLS,
     FuzzyRelation,
@@ -83,11 +84,6 @@ class DbSimResult(Frozen):
     def relation(self) -> FuzzyRelation:
         """The last computed component."""
         return self.prefix[-1]
-
-    @property
-    def last_step(self) -> int:
-        """Index of the last computed component."""
-        return len(self.norms) - 1
 
     def component(self, n: int) -> FuzzyRelation:
         """The component phi_n; past a fixpoint all components coincide."""
@@ -435,14 +431,6 @@ def greatest_fixpoint(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
     return _run(st, a, b, canonical_mode(mode), max_iters, trace, tol=tol)
 
 
-def _check_rel_shape(rel: FuzzyRelation, a: FuzzyAutomaton,
-                     b: FuzzyAutomaton) -> None:
-    if rel.rows != a.num_states or rel.cols != b.num_states:
-        raise DimensionMismatch(
-            f"relation is {rel.rows}x{rel.cols}, automata have "
-            f"{a.num_states} and {b.num_states} states")
-
-
 def check_sim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
               rel: FuzzyRelation) -> bool:
     """Is rel a fuzzy simulation? The chain check on the constant chain (rel, rel)."""
@@ -480,7 +468,7 @@ def _check_prefix(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
     if not prefix:
         raise ValueError("prefix must contain at least one relation")
     for rel in prefix:
-        _check_rel_shape(rel, a, b)
+        require_shape(rel, a, b)
     inverses = [inverse(rel) for rel in prefix]
     return (_simulates(st, a, b, prefix, inverses)
             and (not bisim or _simulates(st, b, a, inverses, prefix)))
@@ -518,12 +506,3 @@ def prefix_norm(st: Structure, prefix: Sequence[FuzzyRelation],
         raise ValueError("prefix must contain at least one relation")
     norm = bisim_norm if canonical_mode(mode) == MODE_BISIM else sim_norm
     return min(norm(st, rel, a, b) for rel in prefix)
-
-
-def compose_prefixes(st: Structure, left: Sequence[FuzzyRelation],
-                     right: Sequence[FuzzyRelation]) -> tuple[FuzzyRelation, ...]:
-    """Componentwise relation composition of two equally long chains."""
-    if len(left) != len(right):
-        raise DimensionMismatch(
-            f"prefixes have lengths {len(left)} and {len(right)}")
-    return tuple(compose_rel_rel(st, p, q) for p, q in zip(left, right))

@@ -38,13 +38,6 @@ class FuzzySet(Frozen):
     def __iter__(self) -> Iterator[float]:
         return iter(self.degrees)
 
-    @staticmethod
-    def zeros(size: int) -> "FuzzySet":
-        return FuzzySet((0.0,) * size)
-
-    def is_empty(self) -> bool:
-        return not any(v > 0.0 for v in self.degrees)
-
 
 class FuzzyRelation(Frozen):
     """A dense degree matrix over rows x cols."""
@@ -75,30 +68,6 @@ class FuzzyRelation(Frozen):
         rel = object.__new__(cls)
         rel._init(rows, cols, degrees)
         return rel
-
-    @staticmethod
-    def empty(rows: int, cols: int) -> "FuzzyRelation":
-        return FuzzyRelation(rows, cols)
-
-    @staticmethod
-    def identity(n: int) -> "FuzzyRelation":
-        return FuzzyRelation(
-            n, n, tuple(tuple(1.0 if i == j else 0.0 for j in range(n))
-                        for i in range(n)))
-
-    @staticmethod
-    def from_entries(rows: int, cols: int,
-                     entries: Iterable[tuple[int, int, float]]) -> "FuzzyRelation":
-        grid = [[0.0] * cols for _ in range(rows)]
-        for r, c, v in entries:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise DimensionMismatch(
-                    f"entry ({r}, {c}) outside a {rows}x{cols} relation")
-            grid[r][c] = v
-        return FuzzyRelation(rows, cols, tuple(tuple(row) for row in grid))
-
-    def is_empty(self) -> bool:
-        return all(v == 0.0 for row in self.degrees for v in row)
 
 
 def _require_same_shape(a: FuzzyRelation, b: FuzzyRelation) -> None:
@@ -137,24 +106,6 @@ def compose_rel_rel(st: Structure, left: FuzzyRelation,
     return FuzzyRelation.trusted(left.rows, right.cols, tuple(out))
 
 
-def compose_set_rel(st: Structure, f: FuzzySet, rel: FuzzyRelation) -> FuzzySet:
-    """(f o rel)(b) = sup_a f(a) (x) rel(a, b)."""
-    if f.size != rel.rows:
-        raise DimensionMismatch(
-            f"set of size {f.size} does not left-compose with {rel.rows}x{rel.cols}")
-    tnorm = st.tnorm
-    out = []
-    for b in range(rel.cols):
-        best = 0.0
-        for a, fv in enumerate(f.degrees):
-            if fv > 0.0:
-                v = tnorm(fv, rel.degrees[a][b])
-                if v > best:
-                    best = v
-        out.append(best)
-    return FuzzySet(tuple(out))
-
-
 def compose_rel_set(st: Structure, rel: FuzzyRelation, g: FuzzySet) -> FuzzySet:
     """(rel o g)(a) = sup_b rel(a, b) (x) g(b)."""
     if g.size != rel.cols:
@@ -189,17 +140,8 @@ def subset_degree(st: Structure, g: FuzzySet, f: FuzzySet) -> float:
                default=1.0)
 
 
-def equal_degree(st: Structure, g: FuzzySet, f: FuzzySet) -> float:
-    """Graded equality E(g, f) = inf_a (g(a) <=> f(a))."""
-    if g.size != f.size:
-        raise DimensionMismatch(f"sets have sizes {g.size} and {f.size}")
-    biresiduum = st.biresiduum
-    return min((biresiduum(gv, fv) for gv, fv in zip(g.degrees, f.degrees)),
-               default=1.0)
-
-
 def _leq_row(eps: float, xs: Sequence[float], ys: Sequence[float]) -> bool:
-    # Structure.leq, x <= y + eps, over a row in C-level maps.
+    # x <= y + eps for each cell pair of a row, in C-level maps.
     return all(map(le, xs, map(add, ys, repeat(eps))))
 
 

@@ -10,7 +10,9 @@ continuous, which the fixpoint results rely on; this is a documented
 assumption, not a runtime check. The round kernel also relies on three laws
 that follow from monotonicity and adjunction and that the built-ins keep in
 floats: (L1) x (x) y <= x (x) 1.0, (L2) (x => y) >= y and (L3) x => y is
-monotone in y, so (x => y) >= (x => 0.0).
+monotone in y, so (x => y) >= (x => 0.0). The norms take a t-norm's
+operands in whichever order suits the loop, which relies on (C)
+x (x) y == y (x) x, kept bit for bit by the built-ins.
 
 :class:`Frozen` is the immutable base of ``Structure`` and of the package's
 other value classes (sets, relations, automata, results, formulas).
@@ -189,14 +191,6 @@ class Structure(Frozen):
         b = self.residuum(y, x)
         return a if a < b else b
 
-    def leq(self, x: float, y: float) -> bool:
-        """x <= y up to the comparison tolerance."""
-        return x <= y + self.eps_cmp
-
-    def approx(self, x: float, y: float) -> bool:
-        """|x - y| <= the comparison tolerance."""
-        return abs(x - y) <= self.eps_cmp
-
 
 _BUILTINS: dict[str, tuple[BinaryOp, BinaryOp]] = {
     "godel": (_godel_tnorm, _godel_residuum),
@@ -224,8 +218,10 @@ def custom_structure(tnorm: BinaryOp, residuum: BinaryOp,
     The pair is expected to satisfy the adjunction x (x) y <= z iff
     x <= (y => z) and the laws (L1) x (x) y <= x (x) 1.0, (L2)
     (x => y) >= y and (L3) (x => y) >= (x => 0.0), which the kernel's skipped
-    calls rely on: only then do its outputs match ``naive_dbsim``. Only the
-    results are checked, at the call. A computation calls ``residuum(d, 0.0)``
-    once per transition of degree d when it starts.
+    calls rely on: only then do its outputs match ``naive_dbsim``. The
+    t-norm is expected to commute exactly, (C) x (x) y == y (x) x, as the
+    norms pass its operands in either order. Only the results are checked,
+    at the call. A computation calls ``residuum(d, 0.0)`` once per
+    transition of degree d when it starts.
     """
     return Structure("custom", tnorm, residuum, eps_cmp)

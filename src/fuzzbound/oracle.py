@@ -79,17 +79,6 @@ def generate_automaton(spec: RandomAutomatonSpec) -> FuzzyAutomaton:
     )
 
 
-def _dense_delta(automaton: FuzzyAutomaton) -> list[list[list[float]]]:
-    n = automaton.num_states
-    out = []
-    for triples in automaton.transitions:
-        grid = [[0.0] * n for _ in range(n)]
-        for x, y, d in triples:
-            grid[x][y] = d
-        out.append(grid)
-    return out
-
-
 def naive_dbsim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, k: int,
                 mode: str = "sim") -> list[FuzzyRelation]:
     """The chain phi_0..phi_k by the dense recurrence, with no early exit.
@@ -104,8 +93,8 @@ def naive_dbsim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, k: int,
     residuum = st.residuum
     na = a.num_states
     nb = b.num_states
-    delta_a = _dense_delta(a)
-    delta_b = _dense_delta(b)
+    delta_a = [a.symbol_relation(s).degrees for s in range(a.num_symbols)]
+    delta_b = [b.symbol_relation(s).degrees for s in range(b.num_symbols)]
     init_op = st.biresiduum if bisim else residuum
     cur = [[init_op(tx, ty) for ty in b.terminal.degrees]
            for tx in a.terminal.degrees]

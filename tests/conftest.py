@@ -2,7 +2,7 @@
 
 import pytest
 
-from fuzzbound import FuzzyAutomaton, structure
+from fuzzbound import FuzzyAutomaton, FuzzyRelation, relation_from_json, structure
 
 STRUCTURE_NAMES = ("godel", "lukasiewicz", "product")
 
@@ -47,6 +47,19 @@ def loop_automaton(degree: float, name: str = "u") -> FuzzyAutomaton:
 def loop_pair(eps: float) -> tuple[FuzzyAutomaton, FuzzyAutomaton]:
     """The almost-equal pair: a perfect self-loop vs one damped by eps."""
     return loop_automaton(1.0, "u"), loop_automaton(1.0 - eps, "u'")
+
+
+def relation(rows: int, cols: int, entries=()) -> FuzzyRelation:
+    """A relation holding the given (row, col, degree) cells, 0 elsewhere."""
+    return relation_from_json({"rows": rows, "cols": cols, "entries": list(entries)})
+
+
+def identity(n: int) -> FuzzyRelation:
+    return relation(n, n, [(i, i, 1.0) for i in range(n)])
+
+
+def is_zero(rel: FuzzyRelation) -> bool:
+    return not any(map(any, rel.degrees))
 
 
 def assert_rel_close(actual, expected, tol=1e-9):

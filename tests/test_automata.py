@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as strat
 
 from fuzzbound import (
     FuzzyAutomaton,
@@ -24,7 +26,7 @@ from fuzzbound.errors import (
 )
 from fuzzbound.oracle import RandomAutomatonSpec, generate_automaton
 
-from conftest import chain_pair, loop_automaton, loop_pair
+from conftest import chain_pair, loop_automaton, loop_pair, relation
 
 
 class TestModel:
@@ -51,7 +53,7 @@ class TestModel:
 
     def test_symbol_relation(self):
         a, _ = chain_pair()
-        assert a.symbol_relation(0) == FuzzyRelation.from_entries(
+        assert a.symbol_relation(0) == relation(
             2, 2, [(0, 1, 0.4), (1, 1, 0.5)])
 
 
@@ -167,21 +169,50 @@ class TestLanguage:
             language_bounded(structure("godel"), a, 4, cap=16)
 
 
+# Degrees at the edges of [0, 1], beside any float in it: the smallest
+# subnormal, the smallest normal and the largest float below 1.
+edge_degrees = (strat.sampled_from((0.0, 5e-324, 2.0 ** -1022, 1.0 - 2.0 ** -53, 1.0))
+                | strat.floats(0.0, 1.0))
+
+
+@strat.composite
+def norm_cases(draw):
+    """Two transition-free automata and a relation between their states."""
+    def degrees(size):
+        return draw(strat.lists(edge_degrees, min_size=size, max_size=size))
+
+    n_a, n_b = draw(strat.integers(1, 4)), draw(strat.integers(1, 4))
+    a, b = (FuzzyAutomaton(n, ("s",), ((),), FuzzySet(degrees(n)), FuzzySet((0.0,) * n))
+            for n in (n_a, n_b))
+    return a, b, FuzzyRelation(n_a, n_b, [degrees(n_b) for _ in range(n_a)])
+
+
 class TestNorms:
+    @given(case=norm_cases())
+    def test_sim_norm_is_the_dense_inclusion(self, st, case):
+        # min(1, min_x sigma_A(x) => max_x' sigma_B(x') (x) R(x, x')). The
+        # t-norm takes its operands in the other order than in sim_norm, so
+        # the two agree bit for bit only as long as (C) holds.
+        a, b, rel = case
+        pulled = [max(st.tnorm(sb, r) for sb, r in zip(b.initial, row))
+                  for row in rel.degrees]
+        expected = min(1.0, *map(st.residuum, a.initial, pulled))
+        assert sim_norm(st, rel, a, b) == expected
+
     def test_sim_norm_godel(self):
         a, b = chain_pair()
-        rel = FuzzyRelation.from_entries(2, 2, [(0, 0, 1.0), (0, 1, 1.0), (1, 1, 0.4)])
+        rel = relation(2, 2, [(0, 0, 1.0), (0, 1, 1.0), (1, 1, 0.4)])
         assert sim_norm(structure("godel"), rel, a, b) == 1.0
 
     def test_bisim_norm_lukasiewicz(self):
         a, b = chain_pair()
-        rel = FuzzyRelation.from_entries(2, 2, [(0, 0, 0.5), (0, 1, 0.2), (1, 1, 0.5)])
+        rel = relation(2, 2, [(0, 0, 0.5), (0, 1, 0.2), (1, 1, 0.5)])
         assert bisim_norm(structure("lukasiewicz"), rel, a, b) == pytest.approx(
             0.5, abs=1e-9)
 
     def test_empty_relation_norm(self, st):
         a, b = chain_pair()
-        assert sim_norm(st, FuzzyRelation.empty(2, 2), a, b) == 0.0
+        assert sim_norm(st, FuzzyRelation(2, 2), a, b) == 0.0
 
 
 class TestJson:

@@ -7,8 +7,9 @@ from hypothesis import strategies as strat
 from fuzzbound import (
     FuzzyRelation,
     FuzzySet,
-    compose_set_rel,
+    compose_rel_set,
     custom_structure,
+    set_leq,
     structure,
     subset_degree,
     validate_degree,
@@ -73,8 +74,13 @@ class TestGoldenValues:
         # Inclusion over no states is a meet of nothing; composing through no
         # states is a join of nothing.
         assert subset_degree(st, FuzzySet(()), FuzzySet(())) == 1.0
-        assert compose_set_rel(st, FuzzySet(()),
-                               FuzzyRelation(0, 2)).degrees == (0.0, 0.0)
+        assert compose_rel_set(st, FuzzyRelation(2, 0),
+                               FuzzySet(())).degrees == (0.0, 0.0)
+
+
+def leq(st, x, y):
+    """x <= y up to the structure's comparison tolerance."""
+    return x <= y + st.eps_cmp
 
 
 class TestLatticeLaws:
@@ -96,32 +102,32 @@ class TestLatticeLaws:
     @given(x=degrees, y=degrees, z=degrees)
     def test_adjunction(self, st, x, y, z):
         if st.tnorm(x, y) <= z:
-            assert st.leq(x, st.residuum(y, z))
+            assert leq(st, x, st.residuum(y, z))
         if x <= st.residuum(y, z):
-            assert st.leq(st.tnorm(x, y), z)
+            assert leq(st, st.tnorm(x, y), z)
 
     @given(x=degrees, x2=degrees, y=degrees, y2=degrees)
     def test_tnorm_monotone(self, st, x, x2, y, y2):
         lo_x, hi_x = sorted((x, x2))
         lo_y, hi_y = sorted((y, y2))
-        assert st.leq(st.tnorm(lo_x, lo_y), st.tnorm(hi_x, hi_y))
+        assert leq(st, st.tnorm(lo_x, lo_y), st.tnorm(hi_x, hi_y))
 
     @given(x=degrees, x2=degrees, y=degrees, y2=degrees)
     def test_residuum_antitone_monotone(self, st, x, x2, y, y2):
         lo_x, hi_x = sorted((x, x2))
         lo_y, hi_y = sorted((y, y2))
-        assert st.leq(st.residuum(hi_x, lo_y), st.residuum(lo_x, hi_y))
+        assert leq(st, st.residuum(hi_x, lo_y), st.residuum(lo_x, hi_y))
 
     @given(x=degrees, y=degrees)
     def test_modus_ponens_bound(self, st, x, y):
-        assert st.leq(st.tnorm(x, st.residuum(x, y)), y)
+        assert leq(st, st.tnorm(x, st.residuum(x, y)), y)
 
     @given(x=degrees, y=degrees)
     def test_residuum_one_iff_leq(self, st, x, y):
         if x <= y:
             assert st.residuum(x, y) == 1.0
         if st.residuum(x, y) == 1.0:
-            assert st.leq(x, y)
+            assert leq(st, x, y)
 
     @given(x=degrees, ys=degree_lists)
     def test_tnorm_distributes_over_join(self, st, x, ys):
@@ -145,6 +151,10 @@ unit_floats = strat.sampled_from(EDGE_FLOATS) | degrees
 def assert_closed(st, x, y):
     for v in (st.tnorm(x, y), st.residuum(x, y), st.biresiduum(x, y)):
         assert type(v) is float and 0.0 <= v <= 1.0, (x, y, v)
+
+
+def assert_c(st, x, y):
+    assert st.tnorm(x, y) == st.tnorm(y, x), (x, y)
 
 
 def assert_l1(st, x, y):
@@ -171,12 +181,16 @@ NILPOTENT_MINIMUM = custom_structure(
 
 class TestBuiltinsInFloats:
     # Exactly, with no tolerance: relations computed from the built-ins are
-    # frozen unchecked, and the round kernel skips calls by (L1), (L2) and
-    # (L3).
+    # frozen unchecked, the round kernel skips calls by (L1), (L2) and (L3),
+    # and the norms rely on (C) to pass the t-norm's operands in either order.
 
     @given(x=unit_floats, y=unit_floats)
     def test_operations_map_unit_floats_to_unit_floats(self, st, x, y):
         assert_closed(st, x, y)
+
+    @given(x=unit_floats, y=unit_floats)
+    def test_c_tnorm_commutes_bit_for_bit(self, st, x, y):
+        assert_c(st, x, y)
 
     @given(x=unit_floats, y=unit_floats)
     def test_l1_tnorm_is_at_most_its_value_at_one(self, st, x, y):
@@ -192,13 +206,14 @@ class TestBuiltinsInFloats:
         low, high = min(y, y2), max(y, y2)
         assert st.residuum(x, low) <= st.residuum(x, high), (x, low, high)
 
-    @pytest.mark.parametrize("law", [assert_closed, assert_l1, assert_l2, assert_l3])
+    @pytest.mark.parametrize("law", [assert_closed, assert_c, assert_l1, assert_l2,
+                                     assert_l3])
     def test_every_pair_of_edge_floats(self, st, law):
         for x in EDGE_FLOATS:
             for y in EDGE_FLOATS:
                 law(st, x, y)
 
-    @pytest.mark.parametrize("law", [assert_l1, assert_l2, assert_l3])
+    @pytest.mark.parametrize("law", [assert_c, assert_l1, assert_l2, assert_l3])
     def test_nilpotent_minimum_keeps_the_laws(self, law):
         # The custom structure the kernel tests run beside the built-ins.
         rng = random.Random(11)
@@ -226,8 +241,9 @@ class TestConstruction:
 
     def test_eps_is_configurable(self):
         wide = structure("godel", eps_cmp=0.1)
-        assert wide.approx(0.95, 1.0)
-        assert not structure("godel").approx(0.95, 1.0)
+        high, low = FuzzySet((1.0,)), FuzzySet((0.95,))
+        assert set_leq(wide, high, low)
+        assert not set_leq(structure("godel"), high, low)
 
     def test_custom_structure(self):
         drastic_like = custom_structure(

@@ -180,7 +180,7 @@ class TestRandomFormula:
 class TestHennessyMilner:
     def test_empty_relation_always_passes(self, st, pair):
         a, b = pair
-        empty = FuzzyRelation.empty(2, 2)
+        empty = FuzzyRelation(2, 2)
         assert hm_check_sim(st, a, b, empty, parse_formula(WORKED), 2)
         assert hm_check_bisim(st, a, b, empty, Equiv(0.3, Tau()), 0)
 
@@ -197,13 +197,13 @@ class TestHennessyMilner:
 
     def test_depth_violation_raises(self, st, pair):
         a, b = pair
-        rel = FuzzyRelation.empty(2, 2)
+        rel = FuzzyRelation(2, 2)
         with pytest.raises(DialectError):
             hm_check_sim(st, a, b, rel, parse_formula(WORKED), 1)
 
     def test_dialect_violation_raises(self, st, pair):
         a, b = pair
-        rel = FuzzyRelation.empty(2, 2)
+        rel = FuzzyRelation(2, 2)
         with pytest.raises(DialectError):
             hm_check_sim(st, a, b, rel, Equiv(0.5, Tau()), 3)
         with pytest.raises(DialectError):
