@@ -243,15 +243,16 @@ def require_word_bound(automaton: FuzzyAutomaton, n: int, cap: int) -> None:
             f"words of length <= {n} over {k} symbols exceed the cap of {cap}")
 
 
-def language_bounded(st: Structure, automaton: FuzzyAutomaton, n: int,
-                     cap: int = DEFAULT_WORD_CAP) -> dict[Word, float]:
+def language_bounded(st: Structure, automaton: FuzzyAutomaton,
+                     n: int) -> dict[Word, float]:
     """All words of length <= n with their acceptance degrees.
 
     Zero-degree words are kept: graded language comparisons quantify over
     every word up to the bound. Words are enumerated breadth first, carrying
     the forward state-distribution vector so each level costs O(m) per word.
+    More than ``DEFAULT_WORD_CAP`` words raise ``WordCapExceeded`` first.
     """
-    require_word_bound(automaton, n, cap)
+    require_word_bound(automaton, n, DEFAULT_WORD_CAP)
     tnorm = st.tnorm
     index = build_index(automaton)
     terminal = automaton.terminal.degrees

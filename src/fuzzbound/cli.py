@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
 from .automata import (
-    FuzzyAutomaton,
     automaton_from_json,
     language_bounded,
     language_eval,
@@ -46,11 +44,9 @@ from .errors import (
     UnknownSymbol,
     WordCapExceeded,
 )
-from .fuzzy import FuzzyRelation, relation_from_json
+from .fuzzy import relation_from_json
 from .lattice import DEFAULT_EPS, STRUCTURE_NAMES, Structure, structure
 from .logic import eval_formula, format_formula, parse_formula
-
-ENV_TNORM = "FUZZBOUND_TNORM"
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -95,98 +91,79 @@ def _load_json(path: str):
         raise InputFormatError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from None
-
-
-def _load_automaton(path: str) -> FuzzyAutomaton:
-    return automaton_from_json(_load_json(path))
-
-
-def _add_common(parser: argparse.ArgumentParser, handler) -> None:
-    parser.add_argument("--tnorm", default=None,
-                        help=f"structure name ({', '.join(STRUCTURE_NAMES)}); "
-                             f"defaults to ${ENV_TNORM} or godel")
-    parser.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                        help="comparison tolerance")
-    parser.add_argument("--output", default=None, help="write JSON here instead of stdout")
-    parser.set_defaults(handler=handler)
+    except RecursionError:
+        raise InputFormatError(f"{path} nests too deeply") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fuzzbound",
                      description="Depth-bounded fuzzy (bi)simulations between "
                                  "finite fuzzy automata")
+    # check's --eps default; no other command compares degrees.
+    parser.set_defaults(eps=DEFAULT_EPS)
     commands = parser.add_subparsers(dest="command", required=True)
 
+    def command(name: str, handler, summary: str, right: bool = True):
+        p = commands.add_parser(name, help=summary)
+        p.add_argument("--left", required=True, help="automaton file")
+        if right:
+            p.add_argument("--right", required=True, help="automaton file")
+        p.add_argument("--tnorm", default="godel",
+                       help=f"structure name ({', '.join(STRUCTURE_NAMES)})")
+        p.add_argument("--output", default=None,
+                       help="write JSON here instead of stdout")
+        p.set_defaults(handler=handler)
+        return p
+
     for name, kind in (("dbsim", "simulation"), ("dbbisim", "bisimulation")):
-        p = commands.add_parser(name, help=f"depth-bounded fuzzy {kind}")
-        p.add_argument("--left", required=True)
-        p.add_argument("--right", required=True)
+        p = command(name, _cmd_compute, f"depth-bounded fuzzy {kind}")
         p.add_argument("--depth", type=int, required=True)
         p.add_argument("--trace", action="store_true")
-        _add_common(p, _cmd_depth_bounded)
 
-    p = commands.add_parser("greatest",
-                            help="greatest fuzzy (bi)simulation via fixpoint iteration")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
+    p = command("greatest", _cmd_compute,
+                "greatest fuzzy (bi)simulation via fixpoint iteration")
     p.add_argument("--mode", choices=["sim", "bisim"], default="sim")
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--trace", action="store_true")
-    _add_common(p, _cmd_greatest)
 
-    p = commands.add_parser("check", help="check a relation or chain against the definitions")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
+    p = command("check", _cmd_check,
+                "check a relation or chain against the definitions")
     p.add_argument("--relation", required=True)
     p.add_argument("--mode", choices=["sim", "bisim", "dbsim", "dbbisim"],
                    required=True)
-    _add_common(p, _cmd_check)
+    p.add_argument("--eps", type=float, default=argparse.SUPPRESS,
+                   help=f"comparison tolerance (default {DEFAULT_EPS})")
 
-    p = commands.add_parser("lang", help="evaluate the recognized fuzzy language")
-    p.add_argument("--left", required=True, help="automaton file")
-    p.add_argument("--word", default=None, help="space-separated symbol names")
-    p.add_argument("--max-len", type=int, default=None)
-    _add_common(p, _cmd_lang)
+    p = command("lang", _cmd_lang, "evaluate the recognized fuzzy language",
+                right=False)
+    bound = p.add_mutually_exclusive_group(required=True)
+    bound.add_argument("--word", help="space-separated symbol names")
+    bound.add_argument("--max-len", type=int)
 
-    p = commands.add_parser("formula", help="evaluate a formula on an automaton")
-    p.add_argument("--left", required=True, help="automaton file")
+    p = command("formula", _cmd_formula, "evaluate a formula on an automaton",
+                right=False)
     p.add_argument("--expr", required=True)
-    _add_common(p, _cmd_formula)
 
     return parser
 
 
-def _cmd_depth_bounded(args: argparse.Namespace, st: Structure) -> dict:
-    left = _load_automaton(args.left)
-    right = _load_automaton(args.right)
-    compute = compute_dbbisim if args.command == "dbbisim" else compute_dbsim
-    return compute(st, left, right, args.depth, trace=args.trace).to_json()
-
-
-def _cmd_greatest(args: argparse.Namespace, st: Structure) -> dict:
-    left = _load_automaton(args.left)
-    right = _load_automaton(args.right)
-    return greatest_fixpoint(st, left, right, args.mode,
-                             max_iters=args.max_iters, tol=args.tol,
-                             trace=args.trace).to_json()
-
-
-def _load_prefix(doc, shape: tuple[int, int]) -> list[FuzzyRelation]:
-    if isinstance(doc, dict) and "trace" in doc:
-        doc = doc["trace"]
-    if isinstance(doc, dict):
-        return [relation_from_json(doc, shape)]
-    if isinstance(doc, list):
-        if not doc:
-            raise InputFormatError("prefix file contains no relations")
-        return [relation_from_json(item, shape) for item in doc]
-    raise InputFormatError("relation file must hold an object or an array")
+def _cmd_compute(args: argparse.Namespace, st: Structure) -> dict:
+    left = automaton_from_json(_load_json(args.left))
+    right = automaton_from_json(_load_json(args.right))
+    if args.command == "greatest":
+        result = greatest_fixpoint(st, left, right, args.mode,
+                                   max_iters=args.max_iters, tol=args.tol,
+                                   trace=args.trace)
+    else:
+        compute = compute_dbbisim if args.command == "dbbisim" else compute_dbsim
+        result = compute(st, left, right, args.depth, trace=args.trace)
+    return result.to_json()
 
 
 def _cmd_check(args: argparse.Namespace, st: Structure) -> dict:
-    left = _load_automaton(args.left)
-    right = _load_automaton(args.right)
+    left = automaton_from_json(_load_json(args.left))
+    right = automaton_from_json(_load_json(args.right))
     doc = _load_json(args.relation)
     # A declared shape is compared with the automata before any grid exists.
     shape = (left.num_states, right.num_states)
@@ -196,18 +173,22 @@ def _cmd_check(args: argparse.Namespace, st: Structure) -> dict:
                 f"--mode {args.mode} expects a single relation object")
         rel = relation_from_json(doc, shape)
         checker = check_sim if args.mode == "sim" else check_bisim
-        ok = checker(st, left, right, rel)
-    else:
-        prefix = _load_prefix(doc, shape)
-        checker = check_dbsim_prefix if args.mode == "dbsim" else check_dbbisim_prefix
-        ok = checker(st, left, right, prefix)
-    return {"mode": args.mode, "ok": ok}
+        return {"mode": args.mode, "ok": checker(st, left, right, rel)}
+    if isinstance(doc, dict) and "trace" in doc:
+        doc = doc["trace"]
+    if isinstance(doc, dict):
+        doc = [doc]
+    elif not isinstance(doc, list):
+        raise InputFormatError("relation file must hold an object or an array")
+    elif not doc:
+        raise InputFormatError("prefix file contains no relations")
+    prefix = [relation_from_json(item, shape) for item in doc]
+    checker = check_dbsim_prefix if args.mode == "dbsim" else check_dbbisim_prefix
+    return {"mode": args.mode, "ok": checker(st, left, right, prefix)}
 
 
 def _cmd_lang(args: argparse.Namespace, st: Structure) -> dict:
-    automaton = _load_automaton(args.left)
-    if (args.word is None) == (args.max_len is None):
-        raise InputFormatError("lang needs exactly one of --word or --max-len")
+    automaton = automaton_from_json(_load_json(args.left))
     if args.word is not None:
         names = args.word.split()
         word = word_from_names(automaton, names)
@@ -221,7 +202,7 @@ def _cmd_lang(args: argparse.Namespace, st: Structure) -> dict:
 
 
 def _cmd_formula(args: argparse.Namespace, st: Structure) -> dict:
-    automaton = _load_automaton(args.left)
+    automaton = automaton_from_json(_load_json(args.left))
     formula = parse_formula(args.expr)
     values = eval_formula(st, automaton, formula)
     return {
@@ -235,8 +216,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        st = structure(args.tnorm or os.environ.get(ENV_TNORM) or "godel",
-                       args.eps)
+        st = structure(args.tnorm, args.eps)
         _emit(args.handler(args, st), args.output)
         return EXIT_OK
     except (FuzzboundError, ValueError) as exc:

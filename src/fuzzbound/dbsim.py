@@ -294,18 +294,22 @@ def _transpose(grid: Sequence[Sequence[float]]) -> list[list[float]]:
     return [list(col) for col in zip(*grid)]
 
 
+def _require_cells(cells: int, what: str) -> None:
+    # Called before any grid exists; exit code 3 in the CLI.
+    if cells > MAX_CELLS:
+        raise TraceCapExceeded(
+            f"{what} could hold {cells} degrees, over the cap of {MAX_CELLS}")
+
+
 def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
          max_steps: int, trace: bool, tol: Optional[float]) -> DbSimResult:
     if max_steps < 0:
         raise ValueError("iteration bound must be >= 0")
     require_same_alphabet(a, b)
-    # A traced run holds up to (steps + 1) * n_a * n_b degrees.
-    cells = (max_steps + 1) * a.num_states * b.num_states
-    if trace and cells > MAX_CELLS:
-        raise TraceCapExceeded(
-            f"a trace of {max_steps + 1} components of {a.num_states}x"
-            f"{b.num_states} could hold {cells} degrees, over the cap of "
-            f"{MAX_CELLS}; trace fewer steps or leave tracing off")
+    # The working grid holds n_a * n_b degrees, a trace up to steps + 1 grids.
+    held = max_steps + 1 if trace else 1
+    _require_cells(held * a.num_states * b.num_states,
+                   f"{held} grid(s) of {a.num_states}x{b.num_states}")
     bisim = mode == MODE_BISIM
     index_a = build_index(a)
     index_b = build_index(b)
@@ -392,9 +396,9 @@ def compute_dbsim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, k: int,
     and m transitions; a later round visits only the pairs whose successor
     degrees changed in the round before, plus O(n_a n_b) C-level work to
     find the changed cells, and is a full round again when the round before
-    lowered many cells. A traced run that could hold more than
-    ``MAX_CELLS`` degrees raises ``TraceCapExceeded`` before its first
-    round.
+    lowered many cells. A run whose working grid, or traced chain, could
+    hold more than ``MAX_CELLS`` degrees raises ``TraceCapExceeded`` before
+    its first round.
     """
     return _run(st, a, b, MODE_SIM, k, trace, tol=None)
 
@@ -450,7 +454,8 @@ def check_dbsim_prefix(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
 
     Checks the decreasing-chain condition, the terminal condition on the
     first component, and every step's transition condition, all within the
-    structure's tolerance.
+    structure's tolerance. Automata whose dense symbol relations could hold
+    more than ``MAX_CELLS`` degrees raise ``TraceCapExceeded`` first.
     """
     return _check_prefix(st, a, b, prefix, bisim=False)
 
@@ -469,6 +474,9 @@ def _check_prefix(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
         raise ValueError("prefix must contain at least one relation")
     for rel in prefix:
         require_shape(rel, a, b)
+    # _simulates builds each symbol's dense relation, on both sides at once.
+    _require_cells(a.num_symbols * (a.num_states ** 2 + b.num_states ** 2),
+                   f"the symbol relations of {a.num_states} and {b.num_states} states")
     inverses = [inverse(rel) for rel in prefix]
     return (_simulates(st, a, b, prefix, inverses)
             and (not bisim or _simulates(st, b, a, inverses, prefix)))

@@ -26,7 +26,7 @@ class WordCapExceeded(FuzzboundError, RuntimeError):
 
 
 class TraceCapExceeded(FuzzboundError, RuntimeError):
-    """A traced run could hold more relation degrees than the cap."""
+    """A run or a check could hold more relation degrees than the cap."""
 
 
 class RelationCapExceeded(FuzzboundError, RuntimeError):

@@ -19,6 +19,10 @@ from .lattice import Frozen, Structure, validate_degree
 # point to.
 MAX_CELLS = 2 ** 24
 
+# The 0.0 a loaded relation's cells start as. It is no parsed entry's float,
+# so an entry whose cell holds any other object repeats an earlier entry.
+_UNSET = float("0")
+
 
 class FuzzySet(Frozen):
     """A degree vector over 0..size-1."""
@@ -183,7 +187,8 @@ def relation_from_json(doc: dict,
     """Parse the sparse JSON form. Given ``shape``, a document that declares
     any other shape raises ``DimensionMismatch`` before any cell is built; one
     that declares more than ``MAX_CELLS`` cells raises
-    ``RelationCapExceeded``, also before."""
+    ``RelationCapExceeded``, also before. A repeated (row, col) entry raises
+    ``InputFormatError``."""
     if not isinstance(doc, dict):
         raise InputFormatError("relation document must be a JSON object")
     try:
@@ -202,7 +207,7 @@ def relation_from_json(doc: dict,
     raw = doc.get("entries", [])
     if not isinstance(raw, (list, tuple)):
         raise InputFormatError("relation entries must be a JSON array")
-    grid = [[0.0] * cols for _ in range(rows)]
+    grid = [[_UNSET] * cols for _ in range(rows)]
     outside = None  # the first entry out of bounds, reported after the rest parse
     for item in raw:
         if not isinstance(item, (list, tuple)) or len(item) != 3:
@@ -211,7 +216,10 @@ def relation_from_json(doc: dict,
         c = _json_index(item[1], "entry column")
         v = validate_degree(item[2], "relation degree")
         if 0 <= r < rows and 0 <= c < cols:
-            grid[r][c] = v
+            row = grid[r]
+            if row[c] is not _UNSET:
+                raise InputFormatError(f"relation entry ({r}, {c}) is repeated")
+            row[c] = v
         elif outside is None:
             outside = (r, c)
     if outside is not None:

@@ -30,8 +30,9 @@ DIALECT_SIM = "sim"
 DIALECT_BISIM = "bisim"
 
 # Deepest parenthesis nesting the parser accepts. The evaluator, printer and
-# walkers recurse once per level, so this keeps them well inside Python's
-# default recursion limit of 1000.
+# walkers take at most two frames per level (a walker maps over the
+# children), so this keeps them well inside Python's default recursion limit
+# of 1000.
 MAX_NESTING = 256
 
 
@@ -73,27 +74,24 @@ class And(Formula):
         self._init(left, right)
 
 
+def _children(formula: Formula) -> tuple[Formula, ...]:
+    if isinstance(formula, Tau):
+        return ()
+    if isinstance(formula, (Dia, Imp, Equiv)):
+        return (formula.child,)
+    if isinstance(formula, And):
+        return (formula.left, formula.right)
+    raise TypeError(f"not a formula: {formula!r}")
+
+
 def formula_depth(formula: Formula) -> int:
     """Nesting depth of diamond steps."""
-    if isinstance(formula, Tau):
-        return 0
-    if isinstance(formula, Dia):
-        return formula_depth(formula.child) + 1
-    if isinstance(formula, (Imp, Equiv)):
-        return formula_depth(formula.child)
-    if isinstance(formula, And):
-        return max(formula_depth(formula.left), formula_depth(formula.right))
-    raise TypeError(f"not a formula: {formula!r}")
+    return (isinstance(formula, Dia)
+            + max(map(formula_depth, _children(formula)), default=0))
 
 
 def formula_size(formula: Formula) -> int:
-    if isinstance(formula, Tau):
-        return 1
-    if isinstance(formula, (Dia, Imp, Equiv)):
-        return 1 + formula_size(formula.child)
-    if isinstance(formula, And):
-        return 1 + formula_size(formula.left) + formula_size(formula.right)
-    raise TypeError(f"not a formula: {formula!r}")
+    return 1 + sum(map(formula_size, _children(formula)))
 
 
 def in_dialect(formula: Formula, dialect: str) -> bool:
@@ -101,13 +99,7 @@ def in_dialect(formula: Formula, dialect: str) -> bool:
     banned = Equiv if _canonical_dialect(dialect) == DIALECT_SIM else Imp
 
     def walk(f: Formula) -> bool:
-        if isinstance(f, banned):
-            return False
-        if isinstance(f, (Dia, Imp, Equiv)):
-            return walk(f.child)
-        if isinstance(f, And):
-            return walk(f.left) and walk(f.right)
-        return True
+        return not isinstance(f, banned) and all(map(walk, _children(f)))
 
     return walk(formula)
 
@@ -278,10 +270,10 @@ def constant_pool_for(*automata: FuzzyAutomaton) -> tuple[float, ...]:
 
 def random_formula(dialect: str, max_depth: int,
                    constant_pool: Sequence[float], symbols: Sequence[str],
-                   seed: int, max_size: int = 64) -> Formula:
+                   seed: int) -> Formula:
     """A random formula of the dialect with diamond depth <= max_depth.
 
-    Deterministic per seed; the node count is at most ``max_size``.
+    Deterministic per seed; the node count is at most 64.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
@@ -317,7 +309,7 @@ def random_formula(dialect: str, max_depth: int,
         return And(build(depth_left, left_share),
                    build(depth_left, budget - 1 - left_share))
 
-    return build(max_depth, max_size)
+    return build(max_depth, 64)
 
 
 def _require_usable(formula: Formula, depth_bound: int, dialect: str) -> None:
@@ -349,9 +341,8 @@ def hm_check_bisim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
     _require_usable(formula, depth_bound, DIALECT_BISIM)
     va = eval_formula(st, a, formula)
     vb = eval_formula(st, b, formula)
-    if not set_leq(st, compose_rel_set(st, inverse(rel), va), vb):
-        return False
-    return set_leq(st, compose_rel_set(st, rel, vb), va)
+    return (set_leq(st, compose_rel_set(st, inverse(rel), va), vb)
+            and set_leq(st, compose_rel_set(st, rel, vb), va))
 
 
 def formula_bound_relation(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,

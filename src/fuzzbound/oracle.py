@@ -26,7 +26,7 @@ from .automata import (
 )
 from .dbsim import MODE_BISIM, canonical_mode
 from .fuzzy import FuzzySet
-from .lattice import Frozen, Structure, validate_degree
+from .lattice import Frozen, Structure
 
 DEFAULT_DEGREE_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -34,31 +34,27 @@ DEFAULT_DEGREE_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 class RandomAutomatonSpec(Frozen):
     """Parameters for deterministic random automaton generation."""
 
-    __slots__ = ("num_states", "num_symbols", "transition_density", "degree_grid",
-                 "seed")
+    __slots__ = ("num_states", "num_symbols", "transition_density", "seed")
 
     def __init__(self, num_states: int, num_symbols: int, transition_density: float,
-                 degree_grid: tuple[float, ...] = DEFAULT_DEGREE_GRID, seed: int = 0):
+                 seed: int = 0):
         if num_states < 1 or num_symbols < 1:
             raise ValueError("need at least one state and one symbol")
         if not 0.0 <= transition_density <= 1.0:
             raise ValueError("transition_density must lie in [0, 1]")
-        for d in degree_grid:
-            validate_degree(d, "grid degree")
-            if d <= 0.0:
-                raise ValueError("grid degrees must be strictly positive")
-        self._init(num_states, num_symbols, transition_density, degree_grid, seed)
+        self._init(num_states, num_symbols, transition_density, seed)
 
 
 def generate_automaton(spec: RandomAutomatonSpec) -> FuzzyAutomaton:
     """Density-controlled random automaton, identical for identical specs.
 
     Each (symbol, source, target) slot becomes a transition with the given
-    probability; initial/terminal degrees are drawn from the grid extended
-    with 0 so empty supports occur too.
+    probability and a degree drawn from ``DEFAULT_DEGREE_GRID``;
+    initial/terminal degrees are drawn from the grid extended with 0 so empty
+    supports occur too.
     """
     rng = random.Random(spec.seed)
-    end_grid = (0.0,) + spec.degree_grid
+    end_grid = (0.0,) + DEFAULT_DEGREE_GRID
     alphabet = tuple(f"s{i}" for i in range(spec.num_symbols))
     transitions = []
     for _ in alphabet:
@@ -66,7 +62,7 @@ def generate_automaton(spec: RandomAutomatonSpec) -> FuzzyAutomaton:
         for x in range(spec.num_states):
             for y in range(spec.num_states):
                 if rng.random() < spec.transition_density:
-                    triples.append((x, y, rng.choice(spec.degree_grid)))
+                    triples.append((x, y, rng.choice(DEFAULT_DEGREE_GRID)))
         transitions.append(tuple(triples))
     initial = FuzzySet(tuple(rng.choice(end_grid) for _ in range(spec.num_states)))
     terminal = FuzzySet(tuple(rng.choice(end_grid) for _ in range(spec.num_states)))
@@ -145,10 +141,6 @@ class Violation(Frozen):
                  lhs: float, rhs: float):
         self._init(x, xp, word, lhs, rhs)
 
-    def to_json(self) -> dict:
-        return {"x": self.x, "xp": self.xp, "word": list(self.word),
-                "lhs": self.lhs, "rhs": self.rhs}
-
 
 class VerificationReport(Frozen):
     __slots__ = ("ok", "violations")
@@ -156,16 +148,12 @@ class VerificationReport(Frozen):
     def __init__(self, ok: bool, violations: tuple[Violation, ...] = ()):
         self._init(ok, violations)
 
-    def to_json(self) -> dict:
-        return {"ok": self.ok,
-                "violations": [v.to_json() for v in self.violations]}
-
 
 def _verify_languages(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
-                      rel: FuzzyRelation, n: int, cap: int,
+                      rel: FuzzyRelation, n: int,
                       invariance: bool) -> VerificationReport:
     require_same_alphabet(a, b)
-    require_word_bound(a, n, cap)
+    require_word_bound(a, n, DEFAULT_WORD_CAP)
     tnorm = st.tnorm
     compare = st.biresiduum if invariance else st.residuum
     eps = st.eps_cmp
@@ -205,19 +193,19 @@ def _verify_languages(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
 
 
 def verify_language_preservation(st: Structure, a: FuzzyAutomaton,
-                                 b: FuzzyAutomaton, rel: FuzzyRelation, n: int,
-                                 cap: int = DEFAULT_WORD_CAP) -> VerificationReport:
+                                 b: FuzzyAutomaton, rel: FuzzyRelation,
+                                 n: int) -> VerificationReport:
     """Check, word by word, that rel fuzzily preserves languages up to length n.
 
     For every state pair the relation degree must lower-bound the graded
     inclusion of the pinned bounded languages, and the relation's norm must
     lower-bound the graded inclusion of the full bounded languages.
     """
-    return _verify_languages(st, a, b, rel, n, cap, invariance=False)
+    return _verify_languages(st, a, b, rel, n, invariance=False)
 
 
 def verify_language_invariance(st: Structure, a: FuzzyAutomaton,
-                               b: FuzzyAutomaton, rel: FuzzyRelation, n: int,
-                               cap: int = DEFAULT_WORD_CAP) -> VerificationReport:
+                               b: FuzzyAutomaton, rel: FuzzyRelation,
+                               n: int) -> VerificationReport:
     """Invariance counterpart: graded language equality and the bisim norm."""
-    return _verify_languages(st, a, b, rel, n, cap, invariance=True)
+    return _verify_languages(st, a, b, rel, n, invariance=True)

@@ -166,7 +166,7 @@ class TestLanguage:
         a = generate_automaton(RandomAutomatonSpec(
             num_states=2, num_symbols=2, transition_density=0.5, seed=0))
         with pytest.raises(WordCapExceeded):
-            language_bounded(structure("godel"), a, 4, cap=16)
+            language_bounded(structure("godel"), a, 20)  # 2**21 words
 
 
 # Degrees at the edges of [0, 1], beside any float in it: the smallest

@@ -234,28 +234,31 @@ def write_cli_files(root):
         "phi.json": trace["phi_k"],
         "huge-shape.json": {"rows": 10 ** 9, "cols": 10 ** 9, "entries": []},
         "huge-degree.json": {"rows": 2, "cols": 2, "entries": [[0, 0, HUGE]]},
+        "repeated.json": {"rows": 2, "cols": 2,
+                          "entries": [[0, 0, 0.5], [0, 0, 0.0]]},
     }
     for name, doc in docs.items():
         (root / name).write_text(json.dumps(doc))
     (root / "broken.json").write_text('{"alphabet": [')
     (root / "not-utf8.json").write_bytes(b"\xff\xfe{")
+    (root / "deep.json").write_text("[" * 100_000)
     (root / "huge-int.json").write_text(
         json.dumps(automaton_to_json(a)).replace("0.4", "1" + "0" * 400))
-    paths = [str(root / name) for name in [*docs, "broken.json",
-                                          "not-utf8.json", "huge-int.json"]]
+    paths = [str(root / name) for name in [*docs, "broken.json", "not-utf8.json",
+                                          "deep.json", "huge-int.json"]]
     return paths + [str(root / "missing.json"), str(root)]
 
 
 # Per command, the options it needs (a tuple: one of them) and those it may
 # take; each gets a mostly valid value, and now and then an option of
 # another command, a missing value or a bad one is mixed in.
-COMMON = ["--tnorm", "--eps", "--output"]
+COMMON = ["--tnorm", "--output"]
 REQUIRED = {
     "dbsim": (["--left", "--right", "--depth"], ["--trace", *COMMON]),
     "dbbisim": (["--left", "--right", "--depth"], ["--trace", *COMMON]),
     "greatest": (["--left", "--right"],
                  ["--mode", "--max-iters", "--tol", "--trace", *COMMON]),
-    "check": (["--left", "--right", "--relation", "--mode"], COMMON),
+    "check": (["--left", "--right", "--relation", "--mode"], ["--eps", *COMMON]),
     "lang": (["--left", ("--word", "--max-len")], COMMON),
     "formula": (["--left", "--expr"], COMMON),
     "bogus": ([], []),
@@ -336,6 +339,15 @@ class TestCli:
         assert run(["check", "--left", str(root / "left.json"), "--right",
                     right, "--relation", str(root / "huge-degree.json"),
                     "--mode", "sim"]) == 1
+
+    def test_deeply_nested_json_is_an_input_error(self, cli_files, capsys):
+        # json.load recurses once per bracket; RecursionError must not escape.
+        root, _ = cli_files
+        deep, left = str(root / "deep.json"), str(root / "left.json")
+        assert run(["formula", "--left", deep, "--expr", "T"]) == 1
+        assert run(["check", "--left", left, "--right", left,
+                    "--relation", deep, "--mode", "dbsim"]) == 1
+        assert "nests too deeply" in capsys.readouterr().err
 
     def test_huge_word_length_bound_is_a_resource_error(self, cli_files):
         root, _ = cli_files

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as strat
 
 from fuzzbound import (
+    FuzzyAutomaton,
     FuzzyRelation,
     automaton_to_json,
     compute_dbbisim,
@@ -239,6 +240,32 @@ class TestTraceCap:
         untraced = [arg for arg in argv if arg != "--trace"]
         assert run(untraced + ["--left", left, "--right", right]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["dbsim", "--right", "{big}", "--depth", "0"],
+        ["dbbisim", "--right", "{big}", "--depth", "0"],
+        ["greatest", "--right", "{big}", "--max-iters", "1"],
+        ["check", "--right", "{one}", "--relation", "{thin}", "--mode", "sim"],
+        ["check", "--right", "{one}", "--relation", "{thin}", "--mode", "dbbisim"],
+    ], ids=["dbsim", "dbbisim", "greatest", "check-sim", "check-dbbisim"])
+    def test_untraced_grid_over_the_cap_is_a_resource_error(
+            self, tmp_path, capsys, argv):
+        # 4097 x 4097 state pairs are just over the cap, so even one working
+        # grid is refused. check builds each symbol's dense 4097 x 4097
+        # relation, so a thin 4097 x 1 relation, under its own cap, is
+        # refused there too.
+        paths = {}
+        for name, states in (("big", 4097), ("one", 1)):
+            names = [f"q{i}" for i in range(states)]
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(automaton_to_json(
+                FuzzyAutomaton.build(["s"], names, {"q0": 1.0}, {"q0": 1.0}, []))))
+        paths["thin"] = tmp_path / "thin.json"
+        paths["thin"].write_text(json.dumps(relation_to_json(FuzzyRelation(4097, 1))))
+        argv = [arg.format(**paths) for arg in argv]
+        assert run(argv + ["--left", str(paths["big"])]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "over the cap" in err
+
     def test_benchmark_sized_runs_are_far_under_the_cap(self):
         # cli-session traces depth 4 on 80-state pairs; greatest runs at most
         # 60 iterations on 100-state pairs.
@@ -331,6 +358,7 @@ class TestCheck:
         {"rows": -1, "cols": 2, "entries": []},
         {"rows": 2, "cols": 2, "entries": [[0.7, 1.9, 0.5]]},
         {"rows": 2, "cols": 2, "entries": [[0, 0, True]]},
+        {"rows": 2, "cols": 2, "entries": [[0, 0, 1.0], [0, 0, 0.0]]},
     ])
     def test_malformed_relation_is_input_error(self, files, tmp_path, doc):
         left, right = files
@@ -551,23 +579,6 @@ class TestFormula:
 
 
 class TestEnvironment:
-    def test_env_var_selects_structure(self, files, capsys, monkeypatch):
-        left, right = files
-        monkeypatch.setenv("FUZZBOUND_TNORM", "lukasiewicz")
-        code, doc = run_json(capsys, [
-            "dbsim", "--left", left, "--right", right, "--depth", "1"])
-        assert code == 0
-        assert degree(doc["phi_k"], 0, 0) == pytest.approx(0.9, abs=1e-9)
-
-    def test_flag_overrides_env(self, files, capsys, monkeypatch):
-        left, right = files
-        monkeypatch.setenv("FUZZBOUND_TNORM", "lukasiewicz")
-        code, doc = run_json(capsys, [
-            "dbsim", "--left", left, "--right", right, "--depth", "1",
-            "--tnorm", "godel"])
-        assert code == 0
-        assert degree(doc["phi_k"], 0, 0) == pytest.approx(1.0, abs=1e-9)
-
     @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["dbsim", "--help"],
                                       ["greatest", "-h"]])
     def test_help_is_printed_and_returns_zero(self, capsys, argv):
@@ -578,3 +589,17 @@ class TestEnvironment:
     def test_usage_error_exit_code(self, files):
         assert run(["dbsim", "--depth", "1"]) == 1
         assert run(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["dbsim", "--right", "{right}", "--depth", "1"],
+        ["dbbisim", "--right", "{right}", "--depth", "1"],
+        ["greatest", "--right", "{right}"],
+        ["lang", "--word", "s"],
+        ["formula", "--expr", "T"]])
+    def test_eps_is_taken_only_by_check(self, files, capsys, argv):
+        # The tolerance is read only by check's comparisons.
+        left, right = files
+        argv = [arg.format(right=right) for arg in argv] + ["--left", left]
+        assert run(argv) == 0
+        assert run(argv + ["--eps", "0"]) == 1
+        assert "unrecognized arguments: --eps" in capsys.readouterr().err

@@ -330,6 +330,14 @@ class TestJson:
             relation_from_json({"rows": 1, "cols": 1,
                                 "entries": [[5, 0, 0.5], [0, 3, 0.5]]})
 
+    @pytest.mark.parametrize("entries", [
+        [[0, 0, 0.5], [0, 0, 0.0]], [[0, 0, 0.5], [0, 0, 0.5]],
+        [[1, 0, 0.0], [0, 1, 0.3], [1, 0, 0.7]]])
+    def test_rejects_repeated_entry(self, entries):
+        # Keeping the last of two entries would let [0, 0, 0.0] zero a 0.5.
+        with pytest.raises(InputFormatError, match="repeated"):
+            relation_from_json({"rows": 2, "cols": 2, "entries": entries})
+
     def test_rejects_boolean_degree(self):
         with pytest.raises(DegreeRangeError):
             relation_from_json({"rows": 1, "cols": 1, "entries": [[0, 0, True]]})

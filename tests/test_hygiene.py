@@ -2,7 +2,8 @@
 
 No module other than ``__init__`` (whose imports are the public exports) may
 import a name it never uses, or define a private module-level name it never
-references.
+references. No function in the package may take a parameter it never reads,
+so that a settable value with no effect cannot enter the API.
 """
 
 import ast
@@ -59,6 +60,27 @@ def unreferenced_private_names(tree):
             if name.startswith("_") and not name.startswith("__") and name not in used]
 
 
+def unread_parameters(tree):
+    """(function, parameter) for each parameter the function body never
+    reads. Dunder methods, ``self``/``cls`` and ``_``-prefixed names are
+    exempt; a read in a nested function counts."""
+    unread = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or node.name.startswith("__") and node.name.endswith("__")):
+            continue
+        args = node.args
+        params = [arg.arg for arg in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg, args.kwarg)
+                  if arg is not None]
+        read = {sub.id for sub in ast.walk(node)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        unread += [(node.name, name) for name in params
+                   if name not in read and name not in ("self", "cls")
+                   and not name.startswith("_")]
+    return unread
+
+
 def parse(module):
     return ast.parse((PACKAGE / module).read_text(), filename=module)
 
@@ -77,6 +99,11 @@ def test_every_private_name_is_referenced(module):
     assert unreferenced_private_names(parse(module)) == []
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_every_parameter_is_read(module):
+    assert unread_parameters(parse(module)) == []
+
+
 def test_the_guard_sees_dead_code():
     tree = ast.parse(
         "import os.path\n"
@@ -84,6 +111,12 @@ def test_the_guard_sees_dead_code():
         "_LIMIT = 3\n"
         "_used = 1\n"
         "def _helper(x: 'Sequence[int]') -> int:\n"
-        "    return _used\n")
+        "    return _used\n"
+        "class C:\n"
+        "    def __init__(self, unused): pass\n"
+        "    def run(self, cap=3, *, _spare=None, **extra):\n"
+        "        def inner(): return extra\n"
+        "        return inner\n")
     assert unused_imports(tree) == ["os", "Optional"]
     assert unreferenced_private_names(tree) == ["_LIMIT", "_helper"]
+    assert unread_parameters(tree) == [("_helper", "x"), ("run", "cap")]

@@ -37,7 +37,6 @@ from fuzzbound.automata import SuccPredIndex
 from fuzzbound.lattice import Frozen, Structure
 from fuzzbound.logic import Formula
 from fuzzbound.oracle import (
-    DEFAULT_DEGREE_GRID,
     RandomAutomatonSpec,
     VerificationReport,
     Violation,
@@ -149,7 +148,7 @@ def test_trusted_equals_the_validating_constructor():
 
 def test_constructors_keep_their_defaults_and_keywords():
     spec = RandomAutomatonSpec(3, 2, 0.5, seed=7)
-    assert spec.degree_grid == DEFAULT_DEGREE_GRID and spec.seed == 7
+    assert spec.seed == 7
     assert RandomAutomatonSpec(num_states=3, num_symbols=2, transition_density=0.5,
                                seed=7) == spec
     assert FuzzyRelation(2, 3) == FuzzyRelation(rows=2, cols=3, degrees=None)
