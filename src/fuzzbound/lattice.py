@@ -32,7 +32,9 @@ BinaryOp = Callable[[float, float], float]
 
 
 def validate_degree(value: float, what: str = "degree") -> float:
-    """Return ``value`` if it is a real number in [0, 1], else raise."""
+    """Return ``value`` as a float if it is a real number in [0, 1], else
+    raise. ``-0.0`` is returned as ``0.0``, so no computed degree is ever
+    ``-0.0`` and equal degrees are the same float."""
     v = value
     if type(v) is not float:  # every loaded degree and checked result passes here
         try:
@@ -46,7 +48,7 @@ def validate_degree(value: float, what: str = "degree") -> float:
             raise DegreeRangeError(f"{what} must lie in [0, 1], got {value!r}") from None
     if not 0.0 <= v <= 1.0:
         raise DegreeRangeError(f"{what} must lie in [0, 1], got {v!r}")
-    return v
+    return v + 0.0  # -0.0 + 0.0 is 0.0; any other float is kept bit for bit
 
 
 def _godel_tnorm(x: float, y: float) -> float:

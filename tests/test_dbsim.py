@@ -721,3 +721,29 @@ class TestResultShape:
         result = compute_dbsim(structure("product"), a, b, 3, trace=True)
         with pytest.raises(ValueError):
             result.component(7)
+
+
+class TestNegativeZero:
+    # -0.0 is a degree in [0, 1] and is accepted where degrees enter, but it
+    # is read in as 0.0: otherwise a -0.0 terminal degree came out as -0.0
+    # cells under Godel and product, and equal start degrees differed in sign.
+
+    @staticmethod
+    def positive(v):
+        return math.copysign(1.0, v) == 1.0
+
+    @pytest.mark.parametrize("name", STRUCTURE_NAMES)
+    def test_no_negative_zero_in_any_component_or_norm(self, name):
+        st = structure(name)
+        a = FuzzyAutomaton.build(["s"], ["x", "y"], {"x": 1.0, "y": -0.0},
+                                 {"x": 1.0, "y": 0.5}, [("x", "s", "y", 0.7)])
+        b = FuzzyAutomaton.build(["s"], ["x'", "y'"], {"x'": 1.0, "y'": -0.0},
+                                 {"x'": -0.0, "y'": 1.0}, [("x'", "s", "y'", 0.3)])
+        for left, right in ((a, b), (b, a)):
+            for mode in ("sim", "bisim"):
+                compute = compute_dbsim if mode == "sim" else compute_dbbisim
+                for result in (compute(st, left, right, 3, trace=True),
+                               greatest_fixpoint(st, left, right, mode, trace=True)):
+                    assert all(self.positive(v) for rel in result.prefix
+                               for row in rel.degrees for v in row)
+                    assert all(map(self.positive, result.norms))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -288,6 +289,7 @@ class TestConstruction:
     def test_validate_degree(self):
         assert validate_degree(0.0) == 0.0
         assert validate_degree(1.0) == 1.0
+        assert math.copysign(1.0, validate_degree(-0.0)) == 1.0
         with pytest.raises(DegreeRangeError):
             validate_degree(-0.1)
         with pytest.raises(DegreeRangeError):
