@@ -231,12 +231,14 @@ def language_eval(st: Structure, automaton: FuzzyAutomaton,
     return _accept(tnorm, vec, automaton.terminal.degrees)
 
 
-def require_word_bound(automaton: FuzzyAutomaton, n: int, cap: int) -> None:
-    """Refuse a negative length bound, or one whose words would exceed cap:
-    k^(n + 1) for k >= 2 symbols (the exponent clipped where 2^e is past the
-    cap), else (n + 1)^2 for n + 1 levels of words of up to n letters."""
+def require_word_bound(automaton: FuzzyAutomaton, n: int) -> None:
+    """Refuse a negative length bound, or one whose words would exceed
+    ``DEFAULT_WORD_CAP``: k^(n + 1) for k >= 2 symbols (the exponent clipped
+    where 2^e is past the cap), else (n + 1)^2 for n + 1 levels of words of
+    up to n letters."""
     if n < 0:
         raise ValueError("word-length bound must be >= 0")
+    cap = DEFAULT_WORD_CAP
     k = automaton.num_symbols
     if (k ** min(n + 1, cap.bit_length() + 1) if k > 1 else (n + 1) ** 2) > cap:
         raise WordCapExceeded(
@@ -252,7 +254,7 @@ def language_bounded(st: Structure, automaton: FuzzyAutomaton,
     the forward state-distribution vector so each level costs O(m) per word.
     More than ``DEFAULT_WORD_CAP`` words raise ``WordCapExceeded`` first.
     """
-    require_word_bound(automaton, n, DEFAULT_WORD_CAP)
+    require_word_bound(automaton, n)
     tnorm = st.tnorm
     index = build_index(automaton)
     terminal = automaton.terminal.degrees

@@ -22,7 +22,6 @@ from .automata import (
     require_same_alphabet,
     require_word_bound,
     sim_norm,
-    DEFAULT_WORD_CAP,
 )
 from .dbsim import MODE_BISIM, canonical_mode
 from .fuzzy import FuzzySet
@@ -153,7 +152,7 @@ def _verify_languages(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
                       rel: FuzzyRelation, n: int,
                       invariance: bool) -> VerificationReport:
     require_same_alphabet(a, b)
-    require_word_bound(a, n, DEFAULT_WORD_CAP)
+    require_word_bound(a, n)
     tnorm = st.tnorm
     compare = st.biresiduum if invariance else st.residuum
     eps = st.eps_cmp

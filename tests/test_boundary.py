@@ -28,6 +28,7 @@ from fuzzbound import (
     structure,
     validate_degree,
 )
+from fuzzbound import automata
 from fuzzbound.automata import FuzzyAutomaton, require_word_bound
 from fuzzbound.cli import run
 from fuzzbound.errors import (
@@ -188,7 +189,7 @@ class TestWordBound:
         tracemalloc.start()
         try:
             with pytest.raises(WordCapExceeded):
-                require_word_bound(two, 2 * 10 ** 7, 10 ** 6)
+                require_word_bound(two, 2 * 10 ** 7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -202,11 +203,13 @@ class TestWordBound:
         (1, 999, 10 ** 6, False), (1, 1000, 10 ** 6, True),
         (1, 10 ** 20, 10 ** 6, True), (0, 10 ** 20, 10 ** 6, True),
         (0, 0, 1, False), (2, 0, 0, True)])
-    def test_cap_boundary(self, symbols, n, cap, refused):
+    def test_cap_boundary(self, symbols, n, cap, refused, monkeypatch):
+        # The cap is read from the module at each call.
+        monkeypatch.setattr(automata, "DEFAULT_WORD_CAP", cap)
         alphabet = [f"s{i}" for i in range(symbols)]
         automaton = FuzzyAutomaton.build(alphabet, ["q"], {}, {}, [])
         try:
-            require_word_bound(automaton, n, cap)
+            require_word_bound(automaton, n)
         except WordCapExceeded:
             assert refused
         else:
