@@ -119,11 +119,15 @@ class DbSimResult(Frozen):
 def _init_grid(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
                bisim: bool) -> list[list[float]]:
     # phi_0 is the greatest relation compatible with the terminal sets; the
-    # working grid is held x'-major (see _pass).
+    # working grid is held x'-major (see _pass). One row of calls per
+    # distinct terminal degree of b (never -0.0), copied per state.
     op = st.biresiduum if bisim else st.residuum
     ta = a.terminal.degrees
-    tb = b.terminal.degrees
-    return [[op(tx, ty) for tx in ta] for ty in tb]
+    rows: dict[float, list[float]] = {}
+    for ty in b.terminal.degrees:
+        if ty not in rows:
+            rows[ty] = [op(tx, ty) for tx in ta]
+    return [rows[ty][:] for ty in b.terminal.degrees]
 
 
 def _row_norms(st: Structure, rows: Sequence[Sequence[float]],
@@ -170,8 +174,8 @@ def _floored(st: Structure, index: SuccPredIndex) -> list:
 
 
 def _pass(st: Structure, grid: list[list[float]],
-          prev: Sequence[Sequence[float]], caps: list, right: SuccPredIndex,
-          floors: list, changed: Optional[_Changes]) -> tuple[float, int]:
+          prev: Sequence[Sequence[float]], caps: list, floors: list,
+          changed: Optional[_Changes]) -> tuple[float, int]:
     """Lower grid to the transition condition against prev.
 
     Returns the largest single drop and the number of lowerings.
@@ -183,8 +187,8 @@ def _pass(st: Structure, grid: list[list[float]],
     hoisted out of the inner loops. The simulation condition is the call on
     the x'-major working grid with prev = phi_{i-1} and (right, left) =
     (b, a); the bisimulation's mirrored condition swaps the automata and
-    transposes both relations. ``caps`` is :func:`_capped` of ``right`` and
-    ``floors`` is :func:`_floored` of ``left``.
+    transposes both relations. ``caps`` is :func:`_capped` of the right
+    automaton and ``floors`` is :func:`_floored` of the left one.
 
     A full pass (``changed`` is None) visits every pair (x', y) where y has
     a predecessor. Otherwise only the pairs with a successor cell
@@ -192,7 +196,9 @@ def _pass(st: Structure, grid: list[list[float]],
     last round read) are visited: any other pair's bound is the one it had
     when last applied, and the grid only decreases, so it could lower
     nothing. The order is the same (symbol, x', y, x), so the same
-    lowerings happen in the same order.
+    lowerings happen in the same order. Finding them costs O(changed cells)
+    int ORs to mark them and O(live successor lists) per symbol to collect
+    them (:func:`_revisits`).
 
     Calls that cannot lower a cell are skipped by three laws the built-ins
     keep in floats, (L1) d' (x) p <= d' (x) 1.0, (L2) (d => b) >= b and
@@ -210,14 +216,20 @@ def _pass(st: Structure, grid: list[list[float]],
     max_drop = 0.0
     lowered = 0
     live = list(map(any, grid))
-    for succ_s, pred_s, back_s in zip(caps, floors, right.pred):
+    if changed is not None:
+        # Per column y' of prev, the bits y of the changed cells (y, y').
+        marks = [0] * len(prev[0])
+        for y, cols in changed:
+            bit = 1 << y
+            for yp in cols:
+                marks[yp] |= bit
+    for succ_s, pred_s in zip(caps, floors):
         if changed is None:
             every_y = [(prev_y, pred_list)
                        for prev_y, pred_list in zip(prev, pred_s) if pred_list]
             work = compress(zip(grid, succ_s, repeat(every_y)), live)
         else:
-            work = ((grid[xp], succ_s[xp], ys)
-                    for xp, ys in _revisits(changed, prev, pred_s, back_s, live))
+            work = _revisits(marks, grid, prev, succ_s, pred_s, live)
         for row, succ_list, ys in work:
             for prev_y, pred_list in ys:
                 top = 0.0
@@ -254,32 +266,32 @@ _Changes = list[tuple[int, list[int]]]
 
 # A round that made more lowerings than this share of the n_a*n_b cells (both
 # directions counted for a bisimulation) is followed by a full pass. Measured
-# on random pairs of out-degree 3: a round of revisits after a share below
-# 0.6 took 0.01-0.99 of a full round, after 0.6-1.6 it took 0.75-1.9.
+# on random pairs of out-degree 3 (diff and revisit pass): a round of
+# revisits after a share below 0.5 took 0.02-1.17 of a full round (median
+# 0.13-0.86), after 0.5-0.6 0.90-1.07, after 0.6-1.9 0.75-1.51.
 _DENSE_SHARE = 0.5
 
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits as compress selectors
 
-def _revisits(changed: _Changes, prev: Sequence[Sequence[float]], pred_s,
-              back_s, live: list[bool]) -> list[tuple[int, list]]:
-    # The pairs (x', y) whose bound reads a changed cell (y, y'): x' is a
-    # predecessor of y' whose row is ``live``. Grouped by x' ascending, each
-    # with its (prev[y], pred[y]) items, y ascending; y without predecessors
-    # is skipped.
-    targets: dict[int, list] = {}
-    for y, cols in changed:
-        pred_list = pred_s[y]
-        if pred_list:
-            item = (prev[y], pred_list)
-            for yp in cols:
-                for xp, _ in back_s[yp]:
-                    if not live[xp]:
-                        continue
-                    ys = targets.get(xp)
-                    if ys is None:
-                        targets[xp] = [item]
-                    elif ys[-1] is not item:
-                        ys.append(item)
-    return sorted(targets.items())
+
+def _revisits(marks: list[int], grid: list[list[float]],
+              prev: Sequence[Sequence[float]], succ_s, pred_s, live: list[bool]):
+    # The work of a revisit pass for one symbol: per live x' ascending, the
+    # pairs (x', y) whose bound reads a changed cell (y, y'), y' a successor
+    # of x'. The y are the set bits of the OR of those columns' marks, read
+    # lowest first into compress, each as (prev[y], pred[y]); y without
+    # predecessors is left out.
+    items = list(zip(prev, pred_s))
+    with_pred = sum(1 << y for y, pred_list in enumerate(pred_s) if pred_list)
+    for xp in compress(range(len(grid)), live):
+        succ_list = succ_s[xp]
+        ys = 0
+        for _, yp, _ in succ_list:
+            ys |= marks[yp]
+        ys &= with_pred
+        if ys:
+            yield grid[xp], succ_list, compress(
+                items, format(ys, "b")[::-1].encode().translate(_BITS))
 
 
 def _diff(new: Sequence[Sequence[float]],
@@ -338,13 +350,13 @@ def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
     for i in range(max_steps + 1):
         if i:
             prev = degrees
-            drop, lowered = _pass(st, grid, prev, caps_b, index_b, floors_a,
-                                  changed)
             if bisim:
-                prev_t = _transpose(prev)
+                prev_t = list(map(list, grid))  # phi_{i-1}, x'-major
+            drop, lowered = _pass(st, grid, prev, caps_b, floors_a, changed)
+            if bisim:
                 rows = _transpose(grid)
-                mirrored, more = _pass(st, rows, prev_t, caps_a, index_a,
-                                       floors_b, columns)
+                mirrored, more = _pass(st, rows, prev_t, caps_a, floors_b,
+                                       columns)
                 drop = max(drop, mirrored)
                 lowered += more
                 grid = _transpose(rows)
@@ -353,7 +365,7 @@ def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
                 fixpoint_at = i - 1
                 status = "fixpoint"
                 break
-            degrees = tuple(zip(*grid))
+            degrees = tuple(map(tuple, rows)) if bisim else tuple(zip(*grid))
             # The next round revisits from this round's changes unless this
             # round was dense or is the last.
             if lowered > _DENSE_SHARE * n_a * n_b or i == max_steps:
@@ -394,9 +406,11 @@ def compute_dbsim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, k: int,
     nothing (every later component equals that fixpoint). The first round
     is a full one, O(n_a m_b + n_b m_a + n_a n_b) for automata of n states
     and m transitions; a later round visits only the pairs whose successor
-    degrees changed in the round before, plus O(n_a n_b) C-level work to
-    find the changed cells, and is a full round again when the round before
-    lowered many cells. A run whose working grid, or traced chain, could
+    degrees changed in the round before, plus O(changed cells + m_b) int
+    work to find those pairs and an O(n_a n_b) C-level diff to find the
+    changed cells, and is a full round again when the round before lowered
+    many cells. The start component costs one row of n_a calls per distinct
+    terminal degree of b. A run whose working grid, or traced chain, could
     hold more than ``MAX_CELLS`` degrees raises ``TraceCapExceeded`` before
     its first round.
     """

@@ -23,6 +23,8 @@ from fuzzbound import (
     rel_leq,
     structure,
 )
+from fuzzbound import dbsim
+from fuzzbound.automata import build_index
 from fuzzbound.errors import AlphabetMismatch, DegreeRangeError, DimensionMismatch
 from fuzzbound.oracle import RandomAutomatonSpec, generate_automaton
 
@@ -559,7 +561,9 @@ class TestLawPruning:
     # Calls through the structure on the pair below at k = 4 (bisimulation,
     # the initial grid and the norms included), made by the kernel before the
     # pruning, which takes one t-norm per successor and one residuum per
-    # predecessor of every pair a round visits: (t-norm, residuum).
+    # predecessor of every pair a round visits: (t-norm, residuum). The
+    # initial grid then took two residuum calls per cell, 20000; it now takes
+    # two per cell of one row per distinct terminal degree, 2200 here.
     UNPRUNED = {"godel": (350927, 320434), "lukasiewicz": (497582, 439027),
                 "product": (351003, 320526)}
 
@@ -588,7 +592,7 @@ class TestLawPruning:
     @pytest.mark.parametrize("name", STRUCTURE_NAMES)
     def test_pruned_kernel_makes_fewer_calls(self, name):
         calls = self.counted_calls(name)
-        # Measured: 0.26/0.13 (Godel), 0.29/0.15 (Lukasiewicz) and 0.27/0.17
+        # Measured: 0.26/0.07 (Godel), 0.29/0.11 (Lukasiewicz) and 0.27/0.11
         # (product) of the unpruned counts.
         for made, unpruned in zip(calls, self.UNPRUNED[name]):
             assert made <= 0.7 * unpruned, (calls, self.UNPRUNED[name])
@@ -597,7 +601,8 @@ class TestLawPruning:
         # By (L3) a pair whose cells are all at or below their floors
         # d => 0.0 is left before its bound is taken. Without that, the
         # Lukasiewicz bisimulation made 282891 t-norm and 183511 residuum
-        # calls; measured with it: 144570 and 67662.
+        # calls (20000 of them for the initial grid); measured with it:
+        # 144570 and 49862 (2200 for the initial grid).
         calls = self.counted_calls("lukasiewicz")
         for made, without in zip(calls, (282891, 183511)):
             assert made <= 0.6 * without, calls
@@ -703,6 +708,117 @@ class TestEdgeShapesAgainstOracle:
                     gap = max((abs(e - g) for erow, grow in zip(rel.degrees, got.degrees)
                                for e, g in zip(erow, grow)), default=0.0)
                     assert gap <= 1e-12, (name, mode, step, gap)
+
+
+class TestStartGrid:
+    def test_equal_terminal_degrees_are_lowered_apart(self):
+        # p' and q' are terminal in 1.0 alike, so their rows of phi_0 are
+        # equal; then q' has no s-transition and p' one to r' (terminal 0.4),
+        # so the rounds lower the two rows to different values.
+        a = FuzzyAutomaton.build(["s"], ["x", "y"], {"x": 1.0},
+                                 {"x": 1.0, "y": 1.0}, [("x", "s", "y", 1.0)])
+        b = FuzzyAutomaton.build(
+            ["s"], ["p'", "q'", "r'"], {"p'": 1.0}, {"p'": 1.0, "q'": 1.0, "r'": 0.4},
+            [("p'", "s", "r'", 0.9)])
+        for name in STRUCTURE_NAMES:
+            st = structure(name)
+            for compute in (compute_dbsim, compute_dbbisim):
+                result = compute(st, a, b, 3, trace=True)
+                first = result.component(0)
+                assert [row[0] for row in first.degrees] == [row[1] for row in first.degrees]
+                lowered = result.component(1)
+                assert lowered[0, 1] == 0.0 < lowered[0, 0], (name, compute.__name__)
+            TestLawPruning.assert_naive(st, a, b, 3)
+
+
+class _Walked(list):
+    """A predecessor list that logs its tag each time it is walked."""
+
+    def __init__(self, items, tag, log):
+        super().__init__(items)
+        self.tag, self.log = tag, log
+
+    def __iter__(self):
+        self.log.append(self.tag)
+        return super().__iter__()
+
+
+class _Read(list):
+    """A row of the working grid that logs its state each time a cell is read."""
+
+    def __init__(self, items, xp, log):
+        super().__init__(items)
+        self.xp, self.log = xp, log
+
+    def __getitem__(self, x):
+        self.log.append(self.xp)
+        return super().__getitem__(x)
+
+
+@strat.composite
+def pass_inputs(draw):
+    """Automata of 1-12 states over 1-3 symbols with sparse transitions, so
+    states without successors or predecessors are common; a previous
+    relation, a set of its changed cells and a working grid with some rows
+    emptied."""
+    symbols = draw(strat.integers(1, 3))
+    degree = strat.sampled_from((0.0, 0.0, 0.3, 0.7, 1.0))
+
+    def automaton(n):
+        edges = strat.sets(strat.tuples(strat.integers(0, n - 1),
+                                        strat.integers(0, n - 1)), max_size=2 * n)
+        transitions = tuple(
+            tuple((x, y, draw(strat.sampled_from(EDGE_DEGREES)))
+                  for x, y in sorted(draw(edges)))
+            for _ in range(symbols))
+        return edge_automaton(transitions, (1.0,) * n, (1.0,) * n)
+
+    n_a, n_b = draw(strat.integers(1, 12)), draw(strat.integers(1, 12))
+    a, b = automaton(n_a), automaton(n_b)
+    prev = tuple(tuple(draw(degree) for _ in range(n_b)) for _ in range(n_a))
+    changed = draw(strat.sets(strat.tuples(strat.integers(0, n_a - 1),
+                                           strat.integers(0, n_b - 1))))
+    grid = [[draw(degree) for _ in range(n_a)] if draw(strat.booleans())
+            else [0.0] * n_a for _ in range(n_b)]
+    return a, b, prev, changed, grid
+
+
+class TestRevisitPass:
+    # The pairs (x', y) that dbsim._pass visits, seen through its inputs: a
+    # visit walks the predecessor list of y, which logs (symbol, y), and
+    # then reads a cell of row x' of the working grid, which logs x'.
+
+    @staticmethod
+    def visits(st, a, b, prev, changed, grid):
+        log = []
+        floors = [[_Walked(pred_y, (s, y), log) for y, pred_y in enumerate(pred_s)]
+                  for s, pred_s in enumerate(dbsim._floored(st, build_index(a)))]
+        rows = [_Read(row, xp, log) for xp, row in enumerate(grid)]
+        dbsim._pass(st, rows, prev, dbsim._capped(st, build_index(b)), floors, changed)
+        out = []
+        for tag, xp in zip(log, log[1:]):
+            if isinstance(tag, tuple) and isinstance(xp, int):
+                visit = (tag[0], xp, tag[1])
+                if not out or out[-1] != visit:  # a pair may walk its list twice
+                    out.append(visit)
+        return out
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(inputs=pass_inputs(), name=strat.sampled_from(STRUCTURE_NAMES))
+    def test_revisited_pairs_are_those_reading_a_changed_cell(self, inputs, name):
+        a, b, prev, changed, grid = inputs
+        st = structure(name)
+        index_a, index_b = build_index(a), build_index(b)
+        live = [xp for xp, row in enumerate(grid) if any(row)]
+        expected = [(s, xp, y) for s in range(a.num_symbols) for xp in live
+                    for y in range(a.num_states) if index_a.pred[s][y]
+                    if any((y, yp) in changed for yp, _ in index_b.succ[s][xp])]
+        cells = [(y, sorted(yp for z, yp in changed if z == y))
+                 for y in sorted({y for y, _ in changed})]
+        assert self.visits(st, a, b, prev, cells, [row[:] for row in grid]) == expected
+        every = [(s, xp, y) for s in range(a.num_symbols) for xp in live
+                 for y in range(a.num_states) if index_a.pred[s][y]]
+        assert self.visits(st, a, b, prev, None, grid) == every
 
 
 class TestResultShape:
