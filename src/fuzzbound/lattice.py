@@ -33,8 +33,8 @@ BinaryOp = Callable[[float, float], float]
 
 def validate_degree(value: float, what: str = "degree") -> float:
     """Return ``value`` as a float if it is a real number in [0, 1], else
-    raise. ``-0.0`` is returned as ``0.0``, so no computed degree is ever
-    ``-0.0`` and equal degrees are the same float."""
+    raise. ``-0.0`` is returned as ``0.0``, so no degree read in or computed
+    is ``-0.0`` and equal degrees have equal bits."""
     v = value
     if type(v) is not float:  # every loaded degree and checked result passes here
         try:
@@ -48,7 +48,7 @@ def validate_degree(value: float, what: str = "degree") -> float:
             raise DegreeRangeError(f"{what} must lie in [0, 1], got {value!r}") from None
     if not 0.0 <= v <= 1.0:
         raise DegreeRangeError(f"{what} must lie in [0, 1], got {v!r}")
-    return v + 0.0  # -0.0 + 0.0 is 0.0; any other float is kept bit for bit
+    return v if v else 0.0  # -0.0 becomes 0.0; any other float is returned as is
 
 
 def _godel_tnorm(x: float, y: float) -> float:
