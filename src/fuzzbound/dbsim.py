@@ -123,11 +123,9 @@ def _init_grid(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
     # distinct terminal degree of b (never -0.0), copied per state.
     op = st.biresiduum if bisim else st.residuum
     ta = a.terminal.degrees
-    rows: dict[float, list[float]] = {}
-    for ty in b.terminal.degrees:
-        if ty not in rows:
-            rows[ty] = [op(tx, ty) for tx in ta]
-    return [rows[ty][:] for ty in b.terminal.degrees]
+    tb = b.terminal.degrees
+    rows = {ty: [op(tx, ty) for tx in ta] for ty in dict.fromkeys(tb)}
+    return [rows[ty][:] for ty in tb]
 
 
 def _row_norms(st: Structure, rows: Sequence[Sequence[float]],
