@@ -80,8 +80,6 @@ class FuzzyAutomaton(Frozen):
         """Construct from display names; transitions are (from, symbol, to, degree)."""
         state_index = {name: i for i, name in enumerate(states)}
         symbol_index = {name: i for i, name in enumerate(alphabet)}
-        if len(state_index) != len(states):
-            raise ValueError("state names must be distinct")
 
         def lookup(table: dict[str, int], name: str, what: str) -> int:
             try:

@@ -5,20 +5,21 @@ the greatest depth-bounded fuzzy (bi)simulation between two finite automata,
 using the sparse successor/predecessor iteration. phi_i depends only on
 phi_{i-1}, so the rounds are semi-naive: the first round is a full pass, and
 each later one revisits only the constraints whose successor degrees changed
-in the round before, falling back to a full pass when that round changed
-many cells. A bisimulation is a simulation whose inverse is one too, so the
-simulation code also serves the mirrored side, on the swapped automata and
-the inverse relations: the round kernel :func:`_pass`, the per-row norm
-values :func:`_row_norms`, and the conditions the definition-level checkers
-test. A fixpoint driver wraps the same iteration for the greatest plain
-fuzzy (bi)simulation, which is checked as the constant chain (rel, rel).
+in the round before. A bisimulation is a simulation whose inverse is one
+too, so the simulation code also serves the mirrored side, on the swapped
+automata and the inverse relations: the round kernel :func:`_pass`, the
+per-row norm values :func:`_row_norms`, and the conditions the
+definition-level checkers test. A fixpoint driver wraps the same iteration
+for the greatest plain fuzzy (bi)simulation, which is checked as the
+constant chain (rel, rel).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress, repeat
-from operator import ne
+from functools import reduce
+from itertools import compress
+from operator import ne, or_
 from typing import Optional, Sequence
 
 from .automata import (
@@ -130,17 +131,18 @@ def _init_grid(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
 
 def _row_norms(st: Structure, rows: Sequence[Sequence[float]],
                init_rows: Sequence[float], init_cols: Sequence[float],
-               changed: Optional[_Changes]) -> list[tuple[int, float]]:
-    """Per row x in ``changed`` (every row if None) of the relation held row
-    by row: the graded inclusion of x in the row side's initial set,
-    sigma(x) => sup_x' sigma'(x') (x) row[x']; the simulation norm is the
-    meet of 1.0 and these values. By (L1) of :func:`_pass` the sup stops at
-    the first cap s (x) 1.0, largest first, that cannot raise it."""
+               moved: Optional[Sequence]) -> list[tuple[int, float]]:
+    """Per row x whose selector in ``moved`` is true (every row if None) of
+    the relation held row by row: the graded inclusion of x in the row
+    side's initial set, sigma(x) => sup_x' sigma'(x') (x) row[x']; the
+    simulation norm is the meet of 1.0 and these values. By (L1) of
+    :func:`_pass` the sup stops at the first cap s (x) 1.0, largest first,
+    that cannot raise it."""
     tnorm = st.tnorm
     residuum = st.residuum
     support = sorted(((tnorm(s, 1.0), j, s)
                       for j, s in enumerate(init_cols) if s > 0.0), reverse=True)
-    which = range(len(rows)) if changed is None else (x for x, _ in changed)
+    which = range(len(rows)) if moved is None else compress(range(len(rows)), moved)
     out = []
     for x in which:
         row = rows[x]
@@ -173,10 +175,10 @@ def _floored(st: Structure, index: SuccPredIndex) -> list:
 
 def _pass(st: Structure, grid: list[list[float]],
           prev: Sequence[Sequence[float]], caps: list, floors: list,
-          changed: Optional[_Changes]) -> tuple[float, int]:
+          marks: Optional[list[int]]) -> float:
     """Lower grid to the transition condition against prev.
 
-    Returns the largest single drop and the number of lowerings.
+    Returns the largest single drop.
 
     For each symbol, each transition x -d-> y of the left automaton and each
     x' with its transitions x' -d'-> y' in the right one:
@@ -188,15 +190,15 @@ def _pass(st: Structure, grid: list[list[float]],
     transposes both relations. ``caps`` is :func:`_capped` of the right
     automaton and ``floors`` is :func:`_floored` of the left one.
 
-    A full pass (``changed`` is None) visits every pair (x', y) where y has
-    a predecessor. Otherwise only the pairs with a successor cell
-    prev[y][y'] in ``changed`` (the cells that differ from the relation the
-    last round read) are visited: any other pair's bound is the one it had
-    when last applied, and the grid only decreases, so it could lower
-    nothing. The order is the same (symbol, x', y, x), so the same
-    lowerings happen in the same order. Finding them costs O(changed cells)
-    int ORs to mark them and O(live successor lists) per symbol to collect
-    them (:func:`_revisits`).
+    ``marks`` holds, per column y' of prev, an int whose bit y is set if the
+    cell prev[y][y'] differs from the relation the last round read. The
+    first round (``marks`` is None) visits every pair (x', y) where y has a
+    predecessor. A later round visits only the pairs with a marked successor
+    cell: any other pair's bound is the one it had when last applied, and
+    the grid only decreases, so it could lower nothing. The order is the
+    same (symbol, x', y, x), so the same lowerings happen in the same order.
+    Finding the pairs costs O(m_b) int ORs (:func:`_revisits`), on the
+    masks of one C-level O(n_a n_b) diff (:func:`_diff`).
 
     Calls that cannot lower a cell are skipped by three laws the built-ins
     keep in floats, (L1) d' (x) p <= d' (x) 1.0, (L2) (d => b) >= b and
@@ -212,92 +214,78 @@ def _pass(st: Structure, grid: list[list[float]],
     tnorm = st.tnorm
     residuum = st.residuum
     max_drop = 0.0
-    lowered = 0
-    live = list(map(any, grid))
-    if changed is not None:
-        # Per column y' of prev, the bits y of the changed cells (y, y').
-        marks = [0] * len(prev[0])
-        for y, cols in changed:
-            bit = 1 << y
-            for yp in cols:
-                marks[yp] |= bit
-    for succ_s, pred_s in zip(caps, floors):
-        if changed is None:
-            every_y = [(prev_y, pred_list)
-                       for prev_y, pred_list in zip(prev, pred_s) if pred_list]
-            work = compress(zip(grid, succ_s, repeat(every_y)), live)
-        else:
-            work = _revisits(marks, grid, prev, succ_s, pred_s, live)
-        for row, succ_list, ys in work:
-            for prev_y, pred_list in ys:
-                top = 0.0
-                for x, _, floor in pred_list:
-                    cur = row[x]
-                    if cur > top and cur > floor:
-                        top = cur
-                bound = 0.0
-                for cap, yp, d in succ_list:
-                    if cap <= bound or bound >= top:
-                        break
-                    v = tnorm(d, prev_y[yp])
-                    if v > bound:
-                        bound = v
-                if bound >= top:
+    for row, succ_list, ys in _revisits(grid, prev, caps, floors, marks):
+        for prev_y, pred_list in ys:
+            top = 0.0
+            for x, _, floor in pred_list:
+                cur = row[x]
+                if cur > top and cur > floor:
+                    top = cur
+            bound = 0.0
+            for cap, yp, d in succ_list:
+                if cap <= bound or bound >= top:
+                    break
+                v = tnorm(d, prev_y[yp])
+                if v > bound:
+                    bound = v
+            if bound >= top:
+                continue
+            for x, d, floor in pred_list:
+                cur = row[x]
+                if cur <= bound or cur <= floor:
                     continue
-                for x, d, floor in pred_list:
-                    cur = row[x]
-                    if cur <= bound or cur <= floor:
-                        continue
-                    new = residuum(d, bound)
-                    if new < cur:
-                        row[x] = new
-                        lowered += 1
-                        drop = cur - new
-                        if drop > max_drop:
-                            max_drop = drop
-    return max_drop, lowered
+                new = residuum(d, bound)
+                if new < cur:
+                    row[x] = new
+                    drop = cur - new
+                    if drop > max_drop:
+                        max_drop = drop
+    return max_drop
 
-
-# Cells that changed in a round, as (row, [columns]) for each row that moved,
-# rows and columns ascending.
-_Changes = list[tuple[int, list[int]]]
-
-# A round that made more lowerings than this share of the n_a*n_b cells (both
-# directions counted for a bisimulation) is followed by a full pass. Measured
-# on random pairs of out-degree 3 (diff and revisit pass): a round of
-# revisits after a share below 0.5 took 0.02-1.17 of a full round (median
-# 0.13-0.86), after 0.5-0.6 0.90-1.07, after 0.6-1.9 0.75-1.51.
-_DENSE_SHARE = 0.5
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits as compress selectors
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # and back
 
 
-def _revisits(marks: list[int], grid: list[list[float]],
-              prev: Sequence[Sequence[float]], succ_s, pred_s, live: list[bool]):
-    # The work of a revisit pass for one symbol: per live x' ascending, the
-    # pairs (x', y) whose bound reads a changed cell (y, y'), y' a successor
-    # of x'. The y are the set bits of the OR of those columns' marks, read
-    # lowest first into compress, each as (prev[y], pred[y]); y without
-    # predecessors is left out.
-    items = list(zip(prev, pred_s))
-    with_pred = sum(1 << y for y, pred_list in enumerate(pred_s) if pred_list)
-    for xp in compress(range(len(grid)), live):
-        succ_list = succ_s[xp]
-        ys = 0
-        for _, yp, _ in succ_list:
-            ys |= marks[yp]
-        ys &= with_pred
-        if ys:
-            yield grid[xp], succ_list, compress(
-                items, format(ys, "b")[::-1].encode().translate(_BITS))
+def _selectors(mask: int) -> bytes:
+    # The bits of mask, lowest first, as one compress selector each.
+    return format(mask, "b")[::-1].encode().translate(_BITS)
+
+
+def _revisits(grid: list[list[float]], prev: Sequence[Sequence[float]],
+              caps: list, floors: list, marks: Optional[list[int]]):
+    # The work of a pass: per symbol and live x' ascending, the pairs
+    # (x', y) whose bound reads a marked cell (y, y'), y' a successor of x',
+    # each as (prev[y], pred[y]); y without predecessors is left out. The
+    # y are the set bits of the OR of those columns' marks; when every y
+    # with predecessors is marked (always if marks is None), the symbol's
+    # one list of them is shared.
+    live = list(compress(range(len(grid)), map(any, grid)))
+    for succ_s, pred_s in zip(caps, floors):
+        items = list(zip(prev, pred_s))
+        every_y = list(compress(items, pred_s))
+        with_pred = sum(1 << y for y, pred_list in enumerate(pred_s) if pred_list)
+        for xp in live:
+            succ_list = succ_s[xp]
+            ys = with_pred
+            if marks is not None:
+                ys = 0
+                for _, yp, _ in succ_list:
+                    ys |= marks[yp]
+                ys &= with_pred
+            if ys == with_pred:
+                yield grid[xp], succ_list, every_y
+            elif ys:
+                yield grid[xp], succ_list, compress(items, _selectors(ys))
 
 
 def _diff(new: Sequence[Sequence[float]],
-          old: Sequence[Sequence[float]]) -> _Changes:
-    # Rows compare in C; only the rows that moved are scanned cell by cell.
-    cols = range(len(new[0]))
-    return [(r, list(compress(cols, map(ne, row, old_row))))
-            for r, (row, old_row) in enumerate(zip(new, old)) if row != old_row]
+          old: Sequence[Sequence[float]]) -> list[int]:
+    # Per row, the columns where new and old differ, as the set bits of an
+    # int. Rows compare in C, and a row that moved is turned into its int in
+    # C too (base 2 has no digit limit), lowest column as the last digit.
+    return [int(bytes(map(ne, row, old_row))[::-1].translate(_DIGITS), 2)
+            if row != old_row else 0 for row, old_row in zip(new, old)]
 
 
 def _transpose(grid: Sequence[Sequence[float]]) -> list[list[float]]:
@@ -342,21 +330,22 @@ def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
     norms: list[float] = []
     fixpoint_at: Optional[int] = None
     status = "depth" if tol is None else "cap"
-    changed: Optional[_Changes] = None   # None: every cell may have changed
-    columns: Optional[_Changes] = None   # the same cells, x'-major
+    # The cells the last round changed; None: every cell may have. marks
+    # holds the _diff masks per x' row of the working grid, read by the
+    # forward pass and the mirror norm. changed selects the rows x of the
+    # component that moved, for the sim norm; for a bisimulation it is their
+    # _diff masks, which the mirrored pass reads.
+    marks: Optional[list[int]] = None
+    changed: Optional[Sequence] = None
 
     for i in range(max_steps + 1):
         if i:
             prev = degrees
-            if bisim:
-                prev_t = list(map(list, grid))  # phi_{i-1}, x'-major
-            drop, lowered = _pass(st, grid, prev, caps_b, floors_a, changed)
+            prev_t = list(map(list, grid))  # phi_{i-1}, x'-major
+            drop = _pass(st, grid, prev, caps_b, floors_a, marks)
             if bisim:
                 rows = _transpose(grid)
-                mirrored, more = _pass(st, rows, prev_t, caps_a, floors_b,
-                                       columns)
-                drop = max(drop, mirrored)
-                lowered += more
+                drop = max(drop, _pass(st, rows, prev_t, caps_a, floors_b, changed))
                 grid = _transpose(rows)
             if drop == 0.0:
                 # This iteration changed nothing, so phi_{i-1} is the fixpoint.
@@ -364,13 +353,8 @@ def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
                 status = "fixpoint"
                 break
             degrees = tuple(map(tuple, rows)) if bisim else tuple(zip(*grid))
-            # The next round revisits from this round's changes unless this
-            # round was dense or is the last.
-            if lowered > _DENSE_SHARE * n_a * n_b or i == max_steps:
-                changed = columns = None
-            else:
-                changed = _diff(degrees, prev)
-                columns = _diff(grid, prev_t) if bisim else None
+            marks = _diff(grid, prev_t)
+            changed = _diff(degrees, prev) if bisim else _selectors(reduce(or_, marks))
             rows = prev_t = None  # freed before the next round, for peak memory
         if not trace:
             prefix.clear()
@@ -378,7 +362,7 @@ def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
         prefix.append(FuzzyRelation.trusted(n_a, n_b, degrees))
         sim_rows.update(_row_norms(st, degrees, ia, ib, changed))
         if bisim:
-            mirror_rows.update(_row_norms(st, grid, ib, ia, columns))
+            mirror_rows.update(_row_norms(st, grid, ib, ia, marks))
         norms.append(min(1.0, *sim_rows.values(), *mirror_rows.values()))
         if i and tol is not None and drop <= tol:
             status = "tol"
@@ -404,13 +388,12 @@ def compute_dbsim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, k: int,
     nothing (every later component equals that fixpoint). The first round
     is a full one, O(n_a m_b + n_b m_a + n_a n_b) for automata of n states
     and m transitions; a later round visits only the pairs whose successor
-    degrees changed in the round before, plus O(changed cells + m_b) int
-    work to find those pairs and an O(n_a n_b) C-level diff to find the
-    changed cells, and is a full round again when the round before lowered
-    many cells. The start component costs one row of n_a calls per distinct
-    terminal degree of b. A run whose working grid, or traced chain, could
-    hold more than ``MAX_CELLS`` degrees raises ``TraceCapExceeded`` before
-    its first round.
+    degrees changed in the round before, plus O(m_b) int ORs to find those
+    pairs and one C-level O(n_a n_b) diff per orientation to find the
+    changed cells (a simulation needs only one). The start component costs
+    one row of n_a calls per distinct terminal degree of b. A run whose
+    working grid, or traced chain, could hold more than ``MAX_CELLS``
+    degrees raises ``TraceCapExceeded`` before its first round.
     """
     return _run(st, a, b, MODE_SIM, k, trace, tol=None)
 

@@ -45,6 +45,18 @@ class TestModel:
                 ["s"], ["q"], {}, {},
                 [("q", "s", "q", 0.3), ("q", "s", "q", 0.6)])
 
+    @pytest.mark.parametrize("alphabet, states, rule", [
+        (("s", "s"), ("q",), "alphabet symbols must be distinct"),
+        (("s",), ("q", "r", "q"), "state names must be distinct"),
+    ], ids=["symbols", "states"])
+    def test_rejects_repeated_names(self, alphabet, states, rule):
+        with pytest.raises(ValueError, match=rule):
+            FuzzyAutomaton.build(alphabet, states, {}, {}, [])
+        ends = FuzzySet((0.0,) * len(states))
+        with pytest.raises(ValueError, match=rule):
+            FuzzyAutomaton(len(states), alphabet, ((),) * len(alphabet), ends, ends,
+                           states)
+
     def test_rejects_unknown_names(self):
         with pytest.raises(InputFormatError):
             FuzzyAutomaton.build(["s"], ["q"], {"r": 1.0}, {}, [])

@@ -533,6 +533,22 @@ class TestLang:
         assert run(["lang", "--left", str(path), "--word", "s"]) == 1
         assert f"'{named}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alphabet, states, rule", [
+        (["s", "s"], ["u", "v"], "alphabet symbols must be distinct"),
+        (["s"], ["u", "v", "u"], "state names must be distinct"),
+        # The constructor checks the alphabet first.
+        (["s", "s"], ["u", "v", "u"], "alphabet symbols must be distinct"),
+    ], ids=["symbols", "states", "both"])
+    def test_repeated_names_are_input_errors(self, tmp_path, capsys,
+                                             alphabet, states, rule):
+        doc = automaton_to_json(chain_automaton())
+        doc["alphabet"], doc["states"] = alphabet, states
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(doc))
+        assert run(["lang", "--left", str(path), "--word", "s"]) == 1
+        err = capsys.readouterr().err
+        assert rule in err and "Traceback" not in err
+
     def test_negative_length_bound_is_input_error(self, files, capsys):
         left, _ = files
         assert run(["lang", "--left", left, "--max-len", "-1"]) == 1

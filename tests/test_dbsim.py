@@ -592,8 +592,9 @@ class TestLawPruning:
     @pytest.mark.parametrize("name", STRUCTURE_NAMES)
     def test_pruned_kernel_makes_fewer_calls(self, name):
         calls = self.counted_calls(name)
-        # Measured: 0.26/0.07 (Godel), 0.29/0.11 (Lukasiewicz) and 0.27/0.11
-        # (product) of the unpruned counts.
+        # Measured: 0.26/0.07 (Godel), 0.28/0.11 (Lukasiewicz) and 0.27/0.11
+        # (product) of the unpruned counts, with every round after the first
+        # a revisit round.
         for made, unpruned in zip(calls, self.UNPRUNED[name]):
             assert made <= 0.7 * unpruned, (calls, self.UNPRUNED[name])
 
@@ -602,7 +603,7 @@ class TestLawPruning:
         # d => 0.0 is left before its bound is taken. Without that, the
         # Lukasiewicz bisimulation made 282891 t-norm and 183511 residuum
         # calls (20000 of them for the initial grid); measured with it:
-        # 144570 and 49862 (2200 for the initial grid).
+        # 141217 and 49687 (2200 for the initial grid).
         calls = self.counted_calls("lukasiewicz")
         for made, without in zip(calls, (282891, 183511)):
             assert made <= 0.6 * without, calls
@@ -759,8 +760,8 @@ class _Read(list):
 def pass_inputs(draw):
     """Automata of 1-12 states over 1-3 symbols with sparse transitions, so
     states without successors or predecessors are common; a previous
-    relation, a set of its changed cells and a working grid with some rows
-    emptied."""
+    relation, a set of its changed cells, some columns of it changed in
+    every row, and a working grid with some rows emptied."""
     symbols = draw(strat.integers(1, 3))
     degree = strat.sampled_from((0.0, 0.0, 0.3, 0.7, 1.0))
 
@@ -778,6 +779,9 @@ def pass_inputs(draw):
     prev = tuple(tuple(draw(degree) for _ in range(n_b)) for _ in range(n_a))
     changed = draw(strat.sets(strat.tuples(strat.integers(0, n_a - 1),
                                            strat.integers(0, n_b - 1))))
+    # A column changed in every row marks every y with predecessors.
+    for yp in draw(strat.sets(strat.integers(0, n_b - 1))):
+        changed |= {(y, yp) for y in range(n_a)}
     grid = [[draw(degree) for _ in range(n_a)] if draw(strat.booleans())
             else [0.0] * n_a for _ in range(n_b)]
     return a, b, prev, changed, grid
@@ -789,12 +793,14 @@ class TestRevisitPass:
     # then reads a cell of row x' of the working grid, which logs x'.
 
     @staticmethod
-    def visits(st, a, b, prev, changed, grid):
+    def visits(st, a, b, prev, marks, grid):
         log = []
         floors = [[_Walked(pred_y, (s, y), log) for y, pred_y in enumerate(pred_s)]
                   for s, pred_s in enumerate(dbsim._floored(st, build_index(a)))]
         rows = [_Read(row, xp, log) for xp, row in enumerate(grid)]
-        dbsim._pass(st, rows, prev, dbsim._capped(st, build_index(b)), floors, changed)
+        dbsim._pass(st, rows, prev, dbsim._capped(st, build_index(b)), floors, marks)
+        # A y without predecessors is never visited, not even to find no cell.
+        assert all(floors[tag[0]][tag[1]] for tag in log if isinstance(tag, tuple))
         out = []
         for tag, xp in zip(log, log[1:]):
             if isinstance(tag, tuple) and isinstance(xp, int):
@@ -813,12 +819,75 @@ class TestRevisitPass:
         expected = [(s, xp, y) for s in range(a.num_symbols) for xp in live
                     for y in range(a.num_states) if index_a.pred[s][y]
                     if any((y, yp) in changed for yp, _ in index_b.succ[s][xp])]
-        cells = [(y, sorted(yp for z, yp in changed if z == y))
-                 for y in sorted({y for y, _ in changed})]
-        assert self.visits(st, a, b, prev, cells, [row[:] for row in grid]) == expected
+        marks = [0] * b.num_states
+        for y, yp in changed:
+            marks[yp] |= 1 << y
+        assert self.visits(st, a, b, prev, marks, [row[:] for row in grid]) == expected
         every = [(s, xp, y) for s in range(a.num_symbols) for xp in live
                  for y in range(a.num_states) if index_a.pred[s][y]]
         assert self.visits(st, a, b, prev, None, grid) == every
+
+
+def differing(new, old):
+    """Per row, the set of columns where the two relations differ."""
+    return [{c for c, (p, q) in enumerate(zip(row, old_row)) if p != q}
+            for row, old_row in zip(new, old)]
+
+
+def set_bits(mask):
+    return {c for c in range(mask.bit_length()) if mask >> c & 1}
+
+
+@strat.composite
+def relation_pairs(draw):
+    """Two relations of the same 1-8 by 1-8 shape, x-major, whose cells
+    differ in a drawn set of places."""
+    rows, cols = draw(strat.integers(1, 8)), draw(strat.integers(1, 8))
+    degree = strat.sampled_from((0.0, 5e-324, 0.3, TOP, 1.0))
+    old = [[draw(degree) for _ in range(cols)] for _ in range(rows)]
+    new = [row[:] for row in old]
+    for r, c in draw(strat.sets(strat.tuples(strat.integers(0, rows - 1),
+                                             strat.integers(0, cols - 1)))):
+        new[r][c] = draw(degree.filter(lambda v, was=old[r][c]: v != was))
+    return tuple(map(tuple, new)), tuple(map(tuple, old))
+
+
+WIDE = 4400  # wider than the 4300 digits Python reads into an int in base 10
+
+
+class TestChangeMasks:
+    # dbsim._diff reads the cells that differ per row as the bits of an int,
+    # on x-major components (tuples) and on x'-major working grids (lists).
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pair=relation_pairs())
+    @example(pair=(((0.5,) * (WIDE - 1) + (0.25,), (1.0,) + (0.5,) * (WIDE - 1)),
+                   ((0.5,) * WIDE, (0.5,) * WIDE)))
+    def test_masks_are_the_differing_cells(self, pair):
+        new, old = pair
+        assert list(map(set_bits, dbsim._diff(new, old))) == differing(new, old)
+        new_t, old_t = dbsim._transpose(new), dbsim._transpose(old)
+        assert list(map(set_bits, dbsim._diff(new_t, old_t))) == differing(new_t, old_t)
+
+    @pytest.mark.parametrize("name,mode,seed,states,density", [
+        ("lukasiewicz", "sim", 4, 5, 0.5),
+        ("lukasiewicz", "bisim", 1, 6, 0.4),
+    ])
+    def test_chain_through_a_dense_round_matches_naive(self, name, mode, seed,
+                                                       states, density):
+        # Round 2 changes more than half of the cells and round 3 fewer, so
+        # rounds 3 and 4 revisit from a dense and then from a sparse change.
+        st = structure(name)
+        a, b = random_pair(seed, num_states=states, num_symbols=2, density=density)
+        compute = compute_dbsim if mode == "sim" else compute_dbbisim
+        result = compute(st, a, b, 6, trace=True)
+        shares = [sum(map(len, differing(new.degrees, old.degrees))) / states ** 2
+                  for old, new in zip(result.prefix, result.prefix[1:])]
+        assert shares[1] > 0.5 > shares[2] > 0.0 < shares[3], shares
+        expected = naive_dbsim(st, a, b, 6, mode)
+        assert [rel.degrees for rel in result.prefix] == [
+            rel.degrees for rel in expected[:len(result.prefix)]]
+        assert result.relation == expected[-1]
 
 
 class TestResultShape:
