@@ -4,21 +4,22 @@ The two computation entry points return the component chain phi_0..phi_k of
 the greatest depth-bounded fuzzy (bi)simulation between two finite automata,
 using the sparse successor/predecessor iteration. phi_i depends only on
 phi_{i-1}, so the rounds are semi-naive: the first round is a full pass, and
-each later one revisits only the constraints whose successor degrees changed
-in the round before. A bisimulation is a simulation whose inverse is one
-too, so the simulation code also serves the mirrored side, on the swapped
-automata and the inverse relations: the round kernel :func:`_pass`, the
-per-row norm values :func:`_row_norms`, and the conditions the
-definition-level checkers test. A fixpoint driver wraps the same iteration
-for the greatest plain fuzzy (bi)simulation, which is checked as the
-constant chain (rel, rel).
+each later one revisits only the open constraints whose successor degrees
+changed in the round before; a constraint whose cells have all reached their
+floors is settled and leaves for good. A bisimulation is a simulation whose
+inverse is one too, so the simulation code also serves the mirrored side, on
+the swapped automata and the inverse relations: the round kernel
+:func:`_pass`, the per-row norm values :func:`_row_norms`, and the
+conditions the definition-level checkers test. A fixpoint driver wraps the
+same iteration for the greatest plain fuzzy (bi)simulation, which is checked
+as the constant chain (rel, rel).
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import compress
+from itertools import compress, count
 from operator import ne, or_
 from typing import Optional, Sequence
 
@@ -175,7 +176,7 @@ def _floored(st: Structure, index: SuccPredIndex) -> list:
 
 def _pass(st: Structure, grid: list[list[float]],
           prev: Sequence[Sequence[float]], caps: list, floors: list,
-          marks: Optional[list[int]]) -> float:
+          marks: Optional[list[int]], opens: list) -> float:
     """Lower grid to the transition condition against prev.
 
     Returns the largest single drop.
@@ -191,14 +192,20 @@ def _pass(st: Structure, grid: list[list[float]],
     automaton and ``floors`` is :func:`_floored` of the left one.
 
     ``marks`` holds, per column y' of prev, an int whose bit y is set if the
-    cell prev[y][y'] differs from the relation the last round read. The
-    first round (``marks`` is None) visits every pair (x', y) where y has a
-    predecessor. A later round visits only the pairs with a marked successor
-    cell: any other pair's bound is the one it had when last applied, and
-    the grid only decreases, so it could lower nothing. The order is the
-    same (symbol, x', y, x), so the same lowerings happen in the same order.
-    Finding the pairs costs O(m_b) int ORs (:func:`_revisits`), on the
-    masks of one C-level O(n_a n_b) diff (:func:`_diff`).
+    cell prev[y][y'] differs from the relation the last round read.
+    ``opens`` holds, per symbol and x', the open mask of the pass
+    (:func:`_opened`): an int whose bit y is set while the pair (x', y) might
+    still lower a cell. The first round (``marks`` is None) visits every open
+    pair, at first every (x', y) where y has a predecessor. A later round
+    visits only the open pairs with a marked successor cell: any other
+    pair's bound is the one it had when last applied, and the grid only
+    decreases, so it could lower nothing. A pair whose cells are all at or
+    below their floors (see L3) is settled: the pass clears its bit, and it
+    is never visited again, since cells only fall and floors are fixed. The
+    order is the same (symbol, x', y, x), so the same lowerings happen in
+    the same order. Finding the pairs costs O(m_b) int ORs
+    (:func:`_revisits`), on the masks of one C-level O(n_a n_b) diff
+    (:func:`_diff`).
 
     Calls that cannot lower a cell are skipped by three laws the built-ins
     keep in floats, (L1) d' (x) p <= d' (x) 1.0, (L2) (d => b) >= b and
@@ -207,20 +214,26 @@ def _pass(st: Structure, grid: list[list[float]],
     taken for a cell at or below the bound; by L3 a cell at or below its
     floor d => 0.0 is settled, since no bound lowers it through that
     transition. The pair is left once the bound reaches its largest
-    unsettled cell, before any t-norm if every cell is settled, and a row
-    of the grid with no positive cell is not visited. For a structure that
-    keeps the three laws, the lowerings are those of the full loops.
+    unsettled cell, before any t-norm if every cell is settled (and then
+    for good, by the open masks), and a row of the grid with no positive
+    cell is not visited. For a structure that keeps the three laws, the
+    lowerings are those of the full loops.
     """
     tnorm = st.tnorm
     residuum = st.residuum
     max_drop = 0.0
-    for row, succ_list, ys in _revisits(grid, prev, caps, floors, marks):
-        for prev_y, pred_list in ys:
+    for row, succ_list, ys, open_s, xp in _revisits(grid, prev, caps, floors,
+                                                    marks, opens):
+        settled = 0
+        for y, prev_y, pred_list in ys:
             top = 0.0
             for x, _, floor in pred_list:
                 cur = row[x]
                 if cur > top and cur > floor:
                     top = cur
+            if top == 0.0:
+                settled |= 1 << y
+                continue
             bound = 0.0
             for cap, yp, d in succ_list:
                 if cap <= bound or bound >= top:
@@ -240,6 +253,8 @@ def _pass(st: Structure, grid: list[list[float]],
                     drop = cur - new
                     if drop > max_drop:
                         max_drop = drop
+        if settled:
+            open_s[xp] &= ~settled
     return max_drop
 
 
@@ -253,30 +268,38 @@ def _selectors(mask: int) -> bytes:
 
 
 def _revisits(grid: list[list[float]], prev: Sequence[Sequence[float]],
-              caps: list, floors: list, marks: Optional[list[int]]):
-    # The work of a pass: per symbol and live x' ascending, the pairs
+              caps: list, floors: list, marks: Optional[list[int]], opens: list):
+    # The work of a pass: per symbol and live x' ascending, the open pairs
     # (x', y) whose bound reads a marked cell (y, y'), y' a successor of x',
-    # each as (prev[y], pred[y]); y without predecessors is left out. The
-    # y are the set bits of the OR of those columns' marks; when every y
-    # with predecessors is marked (always if marks is None), the symbol's
-    # one list of them is shared.
+    # each as (y, prev[y], pred[y]), with the symbol's open masks and x'.
+    # The y are the set bits of the open mask (a subset of the y with
+    # predecessors) ANDed with the OR of those columns' marks, if any; when
+    # that is every y with predecessors, the symbol's one list is shared.
     live = list(compress(range(len(grid)), map(any, grid)))
-    for succ_s, pred_s in zip(caps, floors):
-        items = list(zip(prev, pred_s))
+    for succ_s, pred_s, open_s in zip(caps, floors, opens):
+        items = list(zip(count(), prev, pred_s))
         every_y = list(compress(items, pred_s))
-        with_pred = sum(1 << y for y, pred_list in enumerate(pred_s) if pred_list)
         for xp in live:
+            ys = open_s[xp]
+            if not ys:
+                continue
             succ_list = succ_s[xp]
-            ys = with_pred
             if marks is not None:
-                ys = 0
+                seen = 0
                 for _, yp, _ in succ_list:
-                    ys |= marks[yp]
-                ys &= with_pred
-            if ys == with_pred:
-                yield grid[xp], succ_list, every_y
+                    seen |= marks[yp]
+                ys &= seen
+            if ys.bit_count() == len(every_y):
+                yield grid[xp], succ_list, every_y, open_s, xp
             elif ys:
-                yield grid[xp], succ_list, compress(items, _selectors(ys))
+                yield grid[xp], succ_list, compress(items, _selectors(ys)), open_s, xp
+
+
+def _opened(floors: list, n: int) -> list[list[int]]:
+    # The open masks of a pass, per symbol and x' of its n: at first every y
+    # with a predecessor; _pass clears the pairs it finds settled.
+    return [[sum(1 << y for y, pred_y in enumerate(pred_s) if pred_y)] * n
+            for pred_s in floors]
 
 
 def _diff(new: Sequence[Sequence[float]],
@@ -316,6 +339,10 @@ def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
     floors_a = _floored(st, index_a)
     floors_b = _floored(st, index_b) if bisim else None
     n_a, n_b = a.num_states, b.num_states
+    # The open masks of each direction's pass: a pair leaves for good once
+    # settled, since cells only fall and floors are fixed.
+    opens_b = _opened(floors_a, n_b)
+    opens_a = _opened(floors_b, n_a) if bisim else None
     ia, ib = a.initial.degrees, b.initial.degrees
 
     grid = _init_grid(st, a, b, bisim)
@@ -342,10 +369,11 @@ def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
         if i:
             prev = degrees
             prev_t = list(map(list, grid))  # phi_{i-1}, x'-major
-            drop = _pass(st, grid, prev, caps_b, floors_a, marks)
+            drop = _pass(st, grid, prev, caps_b, floors_a, marks, opens_b)
             if bisim:
                 rows = _transpose(grid)
-                drop = max(drop, _pass(st, rows, prev_t, caps_a, floors_b, changed))
+                drop = max(drop, _pass(st, rows, prev_t, caps_a, floors_b, changed,
+                                       opens_a))
                 grid = _transpose(rows)
             if drop == 0.0:
                 # This iteration changed nothing, so phi_{i-1} is the fixpoint.
@@ -387,13 +415,14 @@ def compute_dbsim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, k: int,
     the sparse bound/predecessor update, exiting early once a round changes
     nothing (every later component equals that fixpoint). The first round
     is a full one, O(n_a m_b + n_b m_a + n_a n_b) for automata of n states
-    and m transitions; a later round visits only the pairs whose successor
-    degrees changed in the round before, plus O(m_b) int ORs to find those
-    pairs and one C-level O(n_a n_b) diff per orientation to find the
-    changed cells (a simulation needs only one). The start component costs
-    one row of n_a calls per distinct terminal degree of b. A run whose
-    working grid, or traced chain, could hold more than ``MAX_CELLS``
-    degrees raises ``TraceCapExceeded`` before its first round.
+    and m transitions; a later round visits only the open pairs whose
+    successor degrees changed in the round before, plus O(m_b) int ORs to
+    find those pairs and one C-level O(n_a n_b) diff per orientation to find
+    the changed cells (a simulation needs only one). A pair whose cells have
+    all reached their floors is settled and leaves the work for good. The
+    start component costs one row of n_a calls per distinct terminal degree
+    of b. A run whose working grid, or traced chain, could hold more than
+    ``MAX_CELLS`` degrees raises ``TraceCapExceeded`` before its first round.
     """
     return _run(st, a, b, MODE_SIM, k, trace, tol=None)
 
