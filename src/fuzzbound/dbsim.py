@@ -6,13 +6,15 @@ using the sparse successor/predecessor iteration. phi_i depends only on
 phi_{i-1}, so the rounds are semi-naive: the first round is a full pass, and
 each later one revisits only the open constraints whose successor degrees
 changed in the round before; a constraint whose cells have all reached their
-floors is settled and leaves for good. A bisimulation is a simulation whose
-inverse is one too, so the simulation code also serves the mirrored side, on
-the swapped automata and the inverse relations: the round kernel
-:func:`_pass`, the per-row norm values :func:`_row_norms`, and the
-conditions the definition-level checkers test. A fixpoint driver wraps the
-same iteration for the greatest plain fuzzy (bi)simulation, which is checked
-as the constant chain (rel, rel).
+floors is settled and leaves for good. One generator, :func:`_rounds`,
+yields the chain until it is stable; :func:`_run` cuts it by the stop rules
+(depth, fixpoint, tolerance) for both entry points and for the fixpoint
+driver of the greatest plain fuzzy (bi)simulation. A bisimulation is a
+simulation whose inverse is one too, so the simulation code also serves the
+mirrored side, on the swapped automata and the inverse relations: the round
+kernel :func:`_pass` with the inputs of :func:`_views`, the per-row norm
+values :func:`_row_norms`, and the conditions the definition-level checkers
+test; a plain (bi)simulation is checked as the constant chain (rel, rel).
 """
 
 from __future__ import annotations
@@ -158,25 +160,26 @@ def _row_norms(st: Structure, rows: Sequence[Sequence[float]],
     return out
 
 
-def _capped(st: Structure, index: SuccPredIndex) -> list:
-    # The successor view of _pass: per symbol and state, each (y', d') as
-    # (cap, y', d'), largest cap first; cap = d' (x) 1.0, which need not be d'.
-    tnorm = st.tnorm
-    return [[sorted(((tnorm(d, 1.0), y, d) for y, d in succ_x), reverse=True)
-             for succ_x in succ_s] for succ_s in index.succ]
-
-
-def _floored(st: Structure, index: SuccPredIndex) -> list:
-    # The predecessor view of _pass: per symbol and state, each (x, d) as
-    # (x, d, floor) with floor = d => 0.0, below which no bound lowers a cell.
-    residuum = st.residuum
-    return [[[(x, d, residuum(d, 0.0)) for x, d in pred_y] for pred_y in pred_s]
-            for pred_s in index.pred]
+def _views(st: Structure, left_index: SuccPredIndex, right_index: SuccPredIndex,
+           n_right: int) -> tuple[list, list, list]:
+    # One direction's (caps, floors, opens) for _pass, per symbol: per state
+    # of the right automaton, each (y', d') as (cap, y', d'), largest cap
+    # first, cap = d' (x) 1.0 (which need not be d'); per state of the left
+    # one, each (x, d) as (x, d, floor), floor = d => 0.0; per x' of the
+    # right, the open mask, at first every y with a predecessor.
+    tnorm, residuum = st.tnorm, st.residuum
+    caps = [[sorted(((tnorm(d, 1.0), y, d) for y, d in succ_x), reverse=True)
+             for succ_x in succ_s] for succ_s in right_index.succ]
+    floors = [[[(x, d, residuum(d, 0.0)) for x, d in pred_y] for pred_y in pred_s]
+              for pred_s in left_index.pred]
+    opens = [[sum(1 << y for y, pred_y in enumerate(pred_s) if pred_y)] * n_right
+             for pred_s in floors]
+    return caps, floors, opens
 
 
 def _pass(st: Structure, grid: list[list[float]],
-          prev: Sequence[Sequence[float]], caps: list, floors: list,
-          marks: Optional[list[int]], opens: list) -> float:
+          prev: Sequence[Sequence[float]], caps: list, floors: list, opens: list,
+          marks: Optional[list[int]]) -> float:
     """Lower grid to the transition condition against prev.
 
     Returns the largest single drop.
@@ -188,24 +191,24 @@ def _pass(st: Structure, grid: list[list[float]],
     hoisted out of the inner loops. The simulation condition is the call on
     the x'-major working grid with prev = phi_{i-1} and (right, left) =
     (b, a); the bisimulation's mirrored condition swaps the automata and
-    transposes both relations. ``caps`` is :func:`_capped` of the right
-    automaton and ``floors`` is :func:`_floored` of the left one.
+    transposes both relations. ``caps``, ``floors`` and ``opens`` are the
+    direction's :func:`_views`: the successors of the right automaton, the
+    predecessors of the left one, and per symbol and x' the open mask of the
+    pass, an int whose bit y is set while the pair (x', y) might still lower
+    a cell.
 
     ``marks`` holds, per column y' of prev, an int whose bit y is set if the
-    cell prev[y][y'] differs from the relation the last round read.
-    ``opens`` holds, per symbol and x', the open mask of the pass
-    (:func:`_opened`): an int whose bit y is set while the pair (x', y) might
-    still lower a cell. The first round (``marks`` is None) visits every open
-    pair, at first every (x', y) where y has a predecessor. A later round
-    visits only the open pairs with a marked successor cell: any other
-    pair's bound is the one it had when last applied, and the grid only
-    decreases, so it could lower nothing. A pair whose cells are all at or
-    below their floors (see L3) is settled: the pass clears its bit, and it
-    is never visited again, since cells only fall and floors are fixed. The
-    order is the same (symbol, x', y, x), so the same lowerings happen in
-    the same order. Finding the pairs costs O(m_b) int ORs
-    (:func:`_revisits`), on the masks of one C-level O(n_a n_b) diff
-    (:func:`_diff`).
+    cell prev[y][y'] differs from the relation the last round read. The
+    first round (``marks`` is None) visits every open pair, at first every
+    (x', y) where y has a predecessor. A later round visits only the open
+    pairs with a marked successor cell: any other pair's bound is the one it
+    had when last applied, and the grid only decreases, so it could lower
+    nothing. A pair whose cells are all at or below their floors (see L3) is
+    settled: the pass clears its bit, and it is never visited again, since
+    cells only fall and floors are fixed. The order is the same
+    (symbol, x', y, x), so the same lowerings happen in the same order.
+    Finding the pairs costs O(m_b) int ORs (:func:`_revisits`), on the masks
+    of one C-level O(n_a n_b) diff (:func:`_diff`).
 
     Calls that cannot lower a cell are skipped by three laws the built-ins
     keep in floats, (L1) d' (x) p <= d' (x) 1.0, (L2) (d => b) >= b and
@@ -295,13 +298,6 @@ def _revisits(grid: list[list[float]], prev: Sequence[Sequence[float]],
                 yield grid[xp], succ_list, compress(items, _selectors(ys)), open_s, xp
 
 
-def _opened(floors: list, n: int) -> list[list[int]]:
-    # The open masks of a pass, per symbol and x' of its n: at first every y
-    # with a predecessor; _pass clears the pairs it finds settled.
-    return [[sum(1 << y for y, pred_y in enumerate(pred_s) if pred_y)] * n
-            for pred_s in floors]
-
-
 def _diff(new: Sequence[Sequence[float]],
           old: Sequence[Sequence[float]]) -> list[int]:
     # Per row, the columns where new and old differ, as the set bits of an
@@ -322,6 +318,51 @@ def _require_cells(cells: int, what: str) -> None:
             f"{what} could hold {cells} degrees, over the cap of {MAX_CELLS}")
 
 
+def _rounds(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, bisim: bool):
+    # The chain phi_0, phi_1, ... as (degrees, norm, drop) per component:
+    # degrees x-major, drop the largest single lowering of the round that
+    # made it (None for phi_0). Ends after the first round that lowers
+    # nothing, so the last item is the fixpoint.
+    index_a, index_b = build_index(a), build_index(b)
+    forward = _views(st, index_a, index_b, b.num_states)
+    mirror = _views(st, index_b, index_a, a.num_states) if bisim else None
+    ia, ib = a.initial.degrees, b.initial.degrees
+    grid = _init_grid(st, a, b, bisim)
+    # The working grid is x'-major; relations are x-major.
+    degrees = tuple(zip(*grid))
+    # The per-row values whose meet is the norm: the simulation side per x
+    # of the component, the bisimulation's mirrored side per x' of the
+    # x'-major working grid. A round recomputes the rows it changed.
+    sim_rows: dict[int, float] = {}
+    mirror_rows: dict[int, float] = {}
+    # The cells the last round changed; None: every cell may have. marks
+    # holds the _diff masks per x' row of the working grid, read by the
+    # forward pass and the mirror norm. changed selects the rows x of the
+    # component that moved, for the sim norm; for a bisimulation it is their
+    # _diff masks, which the mirrored pass reads.
+    marks: Optional[list[int]] = None
+    changed: Optional[Sequence] = None
+    drop = None
+    while True:
+        sim_rows.update(_row_norms(st, degrees, ia, ib, changed))
+        if bisim:
+            mirror_rows.update(_row_norms(st, grid, ib, ia, marks))
+        yield degrees, min(1.0, *sim_rows.values(), *mirror_rows.values()), drop
+        prev = degrees
+        prev_t = list(map(list, grid))  # the yielded component, x'-major
+        drop = _pass(st, grid, prev, *forward, marks)
+        if bisim:
+            rows = _transpose(grid)
+            drop = max(drop, _pass(st, rows, prev_t, *mirror, changed))
+            grid = _transpose(rows)
+        if drop == 0.0:
+            return
+        degrees = tuple(map(tuple, rows)) if bisim else tuple(zip(*grid))
+        marks = _diff(grid, prev_t)
+        changed = _diff(degrees, prev) if bisim else _selectors(reduce(or_, marks))
+        rows = prev_t = None  # freed before the next round, for peak memory
+
+
 def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
          max_steps: int, trace: bool, tol: Optional[float]) -> DbSimResult:
     if max_steps < 0:
@@ -331,80 +372,29 @@ def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
     held = max_steps + 1 if trace else 1
     _require_cells(held * a.num_states * b.num_states,
                    f"{held} grid(s) of {a.num_states}x{b.num_states}")
-    bisim = mode == MODE_BISIM
-    index_a = build_index(a)
-    index_b = build_index(b)
-    caps_b = _capped(st, index_b)
-    caps_a = _capped(st, index_a) if bisim else None
-    floors_a = _floored(st, index_a)
-    floors_b = _floored(st, index_b) if bisim else None
-    n_a, n_b = a.num_states, b.num_states
-    # The open masks of each direction's pass: a pair leaves for good once
-    # settled, since cells only fall and floors are fixed.
-    opens_b = _opened(floors_a, n_b)
-    opens_a = _opened(floors_b, n_a) if bisim else None
-    ia, ib = a.initial.degrees, b.initial.degrees
-
-    grid = _init_grid(st, a, b, bisim)
-    # The working grid is x'-major; relations are x-major.
-    degrees = tuple(zip(*grid))
     prefix: list[FuzzyRelation] = []
-    # The per-row values whose meet is the norm: the simulation side per x
-    # of the frozen component, the bisimulation's mirrored side per x' of the
-    # x'-major working grid. A round recomputes the rows it changed.
-    sim_rows: dict[int, float] = {}
-    mirror_rows: dict[int, float] = {}
     norms: list[float] = []
     fixpoint_at: Optional[int] = None
     status = "depth" if tol is None else "cap"
-    # The cells the last round changed; None: every cell may have. marks
-    # holds the _diff masks per x' row of the working grid, read by the
-    # forward pass and the mirror norm. changed selects the rows x of the
-    # component that moved, for the sim norm; for a bisimulation it is their
-    # _diff masks, which the mirrored pass reads.
-    marks: Optional[list[int]] = None
-    changed: Optional[Sequence] = None
-
-    for i in range(max_steps + 1):
-        if i:
-            prev = degrees
-            prev_t = list(map(list, grid))  # phi_{i-1}, x'-major
-            drop = _pass(st, grid, prev, caps_b, floors_a, marks, opens_b)
-            if bisim:
-                rows = _transpose(grid)
-                drop = max(drop, _pass(st, rows, prev_t, caps_a, floors_b, changed,
-                                       opens_a))
-                grid = _transpose(rows)
-            if drop == 0.0:
-                # This iteration changed nothing, so phi_{i-1} is the fixpoint.
-                fixpoint_at = i - 1
-                status = "fixpoint"
-                break
-            degrees = tuple(map(tuple, rows)) if bisim else tuple(zip(*grid))
-            marks = _diff(grid, prev_t)
-            changed = _diff(degrees, prev) if bisim else _selectors(reduce(or_, marks))
-            rows = prev_t = None  # freed before the next round, for peak memory
+    for i, (degrees, norm, drop) in enumerate(_rounds(st, a, b, mode == MODE_BISIM)):
         if not trace:
             prefix.clear()
         # Every degree is a built-in's result or a checked one (lattice).
-        prefix.append(FuzzyRelation.trusted(n_a, n_b, degrees))
-        sim_rows.update(_row_norms(st, degrees, ia, ib, changed))
-        if bisim:
-            mirror_rows.update(_row_norms(st, grid, ib, ia, marks))
-        norms.append(min(1.0, *sim_rows.values(), *mirror_rows.values()))
+        prefix.append(FuzzyRelation.trusted(a.num_states, b.num_states, degrees))
+        norms.append(norm)
         if i and tol is not None and drop <= tol:
             status = "tol"
             break
+        if i == max_steps:
+            break
+    else:
+        # The round after phi_i changed nothing, so phi_i is the fixpoint.
+        fixpoint_at = i
+        status = "fixpoint"
 
-    return DbSimResult(
-        mode=mode,
-        requested=max_steps,
-        prefix=tuple(prefix),
-        norms=tuple(norms),
-        fixpoint_at=fixpoint_at,
-        status=status,
-        traced=trace,
-    )
+    return DbSimResult(mode=mode, requested=max_steps, prefix=tuple(prefix),
+                       norms=tuple(norms), fixpoint_at=fixpoint_at, status=status,
+                       traced=trace)
 
 
 def compute_dbsim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, k: int,

@@ -344,10 +344,10 @@ class TestGreatestFixpoint:
             with pytest.raises(ValueError, match="tol must be a finite number"):
                 greatest_fixpoint(structure("godel"), a, right, "sim", tol=tol)
 
-    def test_tol_bounds_single_lowerings(self):
+    @staticmethod
+    def two_step_pair():
         # In round 1 the s- and t-constraints lower phi(p, p') 1.0 -> 0.9 ->
-        # 0.8: each lowering is within tol, the two together are not. The
-        # tolerance applies to each lowering, so the iteration stops there.
+        # 0.8, each by 0.1, and round 2 lowers nothing under Godel.
         transitions = [("p", "s", "q", 1.0), ("p", "t", "q", 1.0),
                        ("q", "s", "q", 1.0), ("q", "t", "q", 1.0)]
         a = FuzzyAutomaton.build(["s", "t"], ["p", "q"], {"p": 1.0},
@@ -356,6 +356,12 @@ class TestGreatestFixpoint:
             ["s", "t"], ["p'", "q'"], {"p'": 1.0}, {"q'": 1.0},
             [("p'", "s", "q'", 0.9), ("p'", "t", "q'", 0.8),
              ("q'", "s", "q'", 1.0), ("q'", "t", "q'", 1.0)])
+        return a, b
+
+    def test_tol_bounds_single_lowerings(self):
+        # Each lowering of round 1 is within tol, the two together are not.
+        # The tolerance applies to each lowering, so the iteration stops there.
+        a, b = self.two_step_pair()
         result = greatest_fixpoint(structure("godel"), a, b, "sim", tol=0.15)
         assert result.status == "tol" and result.fixpoint_at is None
         assert len(result.norms) == 2
@@ -363,6 +369,72 @@ class TestGreatestFixpoint:
         # Without the tolerance, the next round is the fixpoint.
         exact = greatest_fixpoint(structure("godel"), a, b, "sim", tol=0.0)
         assert exact.status == "fixpoint" and exact.fixpoint_at == 1
+
+
+def counted_passes(monkeypatch):
+    """Wrap dbsim._pass; return the list that gets an item per call."""
+    calls = []
+    kernel = dbsim._pass
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(dbsim, "_pass", counted)
+    return calls
+
+
+class TestStopRules:
+    # Where a run cuts the chain: tol is tested before the iteration bound,
+    # the bound stops before the next round, and a round that lowers nothing
+    # makes the component before it the fixpoint. The kernel calls show that
+    # no round runs past the cut, which the outputs alone would not.
+
+    @pytest.mark.parametrize("max_iters,tol,expected,passes", [
+        (1, 0.15, ("tol", None, 2), 1),
+        (1, 0.0, ("cap", None, 2), 1),
+        (2, 0.0, ("fixpoint", 1, 2), 2),
+        (3, 0.0, ("fixpoint", 1, 2), 2),
+        (2, 0.15, ("tol", None, 2), 1),
+    ])
+    def test_greatest_boundaries(self, monkeypatch, max_iters, tol, expected,
+                                 passes):
+        a, b = TestGreatestFixpoint.two_step_pair()
+        calls = counted_passes(monkeypatch)
+        result = greatest_fixpoint(structure("godel"), a, b, "sim",
+                                   max_iters=max_iters, tol=tol)
+        assert (result.status, result.fixpoint_at, len(result.norms)) == expected
+        assert len(calls) == passes
+
+    def test_depth_at_and_past_the_fixpoint(self):
+        a, b = chain_pair()
+        st = structure("godel")
+        for compute in (compute_dbsim, compute_dbbisim):
+            stable = compute(st, a, b, 30).fixpoint_at
+            assert stable == 1
+            at = compute(st, a, b, stable, trace=True)
+            assert (at.status, at.fixpoint_at, len(at.prefix)) == (
+                "depth", None, stable + 1)
+            past = compute(st, a, b, stable + 1, trace=True)
+            assert (past.status, past.fixpoint_at, len(past.prefix)) == (
+                "fixpoint", stable, stable + 1)
+            assert past.prefix == at.prefix
+
+    @pytest.mark.parametrize("name,k,sim_passes,bisim_passes", [
+        ("godel", 0, 0, 0),
+        ("product", 0, 0, 0),
+        ("product", 3, 3, 6),
+        ("godel", 30, 2, 4),
+    ])
+    def test_kernel_calls(self, monkeypatch, name, k, sim_passes, bisim_passes):
+        a, b = chain_pair()
+        st = structure(name)
+        calls = counted_passes(monkeypatch)
+        for compute, passes in ((compute_dbsim, sim_passes),
+                                (compute_dbbisim, bisim_passes)):
+            calls.clear()
+            compute(st, a, b, k)
+            assert len(calls) == passes
 
 
 class TestPrefixNorm:
@@ -764,7 +836,7 @@ def logged_pass(st, grid, prev, caps, floors, *state):
     grid's rows, copy its lowerings back into grid, and return its drop and
     its visits (symbol, x', y) in order: a visit walks the predecessor list
     of y, which logs (symbol, y), and then reads a cell of row x', which
-    logs x'. ``state`` is the pass's marks and open masks."""
+    logs x'. ``state`` is the pass's open masks and marks."""
     log = []
     walked = [[_Walked(pred_y, (s, y), log) for y, pred_y in enumerate(pred_s)]
               for s, pred_s in enumerate(floors)]
@@ -854,9 +926,7 @@ class TestRevisitPass:
         a, b, prev, changed, grid, closed = inputs
         st = structure(name)
         index_a, index_b = build_index(a), build_index(b)
-        floors = dbsim._floored(st, index_a)
-        caps = dbsim._capped(st, index_b)
-        opened = dbsim._opened(floors, b.num_states)
+        caps, floors, opened = dbsim._views(st, index_a, index_b, b.num_states)
         for s, xp, y in closed:
             opened[s][xp] &= ~(1 << y)
         marks = [0] * b.num_states
@@ -877,7 +947,7 @@ class TestRevisitPass:
             work = [row[:] for row in grid]
             opens = [open_s[:] for open_s in opened]
             settled_before = self.settled(floors, work)
-            _, first = logged_pass(st, work, prev, caps, floors, marking, opens)
+            _, first = logged_pass(st, work, prev, caps, floors, opens, marking)
             assert first == expected(closed, grid, marking)
             assert all(now & ~was == 0 for was_s, now_s in zip(opened, opens)
                        for was, now in zip(was_s, now_s))
@@ -891,7 +961,7 @@ class TestRevisitPass:
             assert cleared <= self.settled(floors, work) & visited
             # A closed pair is not visited again, though it reads the same
             # marked cells.
-            _, second = logged_pass(st, work, prev, caps, floors, marking, opens)
+            _, second = logged_pass(st, work, prev, caps, floors, opens, marking)
             assert second == expected(closed | cleared, work, marking)
 
     # Pair visits, every pass of every round, of the Lukasiewicz
