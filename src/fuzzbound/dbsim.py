@@ -15,14 +15,19 @@ mirrored side, on the swapped automata and the inverse relations: the round
 kernel :func:`_pass` with the inputs of :func:`_views`, the per-row norm
 values :func:`_row_norms`, and the conditions the definition-level checkers
 test; a plain (bi)simulation is checked as the constant chain (rel, rel).
+The round kernel, ``_pass`` and ``_row_norms``, is one source text:
+:func:`_kernel` compiles it on first use per built-in structure with its
+t-norm and residuum inlined, and once as it stands for every other pair,
+which it then calls.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from functools import reduce
 from itertools import compress, count
-from operator import ne, or_
+from operator import index, ne, or_
 from typing import Optional, Sequence
 
 from .automata import (
@@ -45,7 +50,7 @@ from .fuzzy import (
     relation_to_json,
     set_leq,
 )
-from .lattice import Frozen, Structure
+from .lattice import _BUILTINS, _OP_TEXT, Frozen, Structure
 
 MODE_SIM = "simulation"
 MODE_BISIM = "bisimulation"
@@ -132,34 +137,6 @@ def _init_grid(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
     return [rows[ty][:] for ty in tb]
 
 
-def _row_norms(st: Structure, rows: Sequence[Sequence[float]],
-               init_rows: Sequence[float], init_cols: Sequence[float],
-               moved: Optional[Sequence]) -> list[tuple[int, float]]:
-    """Per row x whose selector in ``moved`` is true (every row if None) of
-    the relation held row by row: the graded inclusion of x in the row
-    side's initial set, sigma(x) => sup_x' sigma'(x') (x) row[x']; the
-    simulation norm is the meet of 1.0 and these values. By (L1) of
-    :func:`_pass` the sup stops at the first cap s (x) 1.0, largest first,
-    that cannot raise it."""
-    tnorm = st.tnorm
-    residuum = st.residuum
-    support = sorted(((tnorm(s, 1.0), j, s)
-                      for j, s in enumerate(init_cols) if s > 0.0), reverse=True)
-    which = range(len(rows)) if moved is None else compress(range(len(rows)), moved)
-    out = []
-    for x in which:
-        row = rows[x]
-        pulled = 0.0
-        for cap, j, s in support:
-            if cap <= pulled:
-                break
-            v = tnorm(s, row[j])
-            if v > pulled:
-                pulled = v
-        out.append((x, residuum(init_rows[x], pulled)))
-    return out
-
-
 def _views(st: Structure, left_index: SuccPredIndex, right_index: SuccPredIndex,
            n_right: int) -> tuple[list, list, list]:
     # One direction's (caps, floors, opens) for _pass, per symbol: per state
@@ -175,6 +152,49 @@ def _views(st: Structure, left_index: SuccPredIndex, right_index: SuccPredIndex,
     opens = [[sum(1 << y for y, pred_y in enumerate(pred_s) if pred_y)] * n_right
              for pred_s in floors]
     return caps, floors, opens
+
+
+# The round kernel, written once: the text of _row_norms and _pass, which
+# :func:`_kernel` compiles per structure. An op is applied only on a line
+# ``target = tnorm(a, b)`` or ``target = residuum(a, b)``, with plain names
+# or literals as operands. Compiled as it stands, the text calls the ops it
+# binds from st: the generic kernel. For a built-in pair, each such line
+# becomes the op's text with x, y and v renamed to a, b and target, so it
+# makes the float operations of the op's function in the same order, and
+# the binding lines go.
+_KERNEL_TEXT = '''\
+def _row_norms(st: Structure, rows: Sequence[Sequence[float]],
+               init_rows: Sequence[float], init_cols: Sequence[float],
+               moved: Optional[Sequence]) -> list[tuple[int, float]]:
+    """Per row x whose selector in ``moved`` is true (every row if None) of
+    the relation held row by row: the graded inclusion of x in the row
+    side's initial set, sigma(x) => sup_x' sigma'(x') (x) row[x']; the
+    simulation norm is the meet of 1.0 and these values. By (L1) of
+    :func:`_pass` the sup stops at the first cap s (x) 1.0, largest first,
+    that cannot raise it."""
+    tnorm, residuum = st.tnorm, st.residuum
+    support = []
+    for j, s in enumerate(init_cols):
+        if s > 0.0:
+            cap = tnorm(s, 1.0)
+            support.append((cap, j, s))
+    support.sort(reverse=True)
+    which = range(len(rows)) if moved is None else compress(range(len(rows)), moved)
+    out = []
+    for x in which:
+        row = rows[x]
+        pulled = 0.0
+        for cap, j, s in support:
+            if cap <= pulled:
+                break
+            cell = row[j]
+            v = tnorm(s, cell)
+            if v > pulled:
+                pulled = v
+        start = init_rows[x]
+        norm = residuum(start, pulled)
+        out.append((x, norm))
+    return out
 
 
 def _pass(st: Structure, grid: list[list[float]],
@@ -195,7 +215,8 @@ def _pass(st: Structure, grid: list[list[float]],
     direction's :func:`_views`: the successors of the right automaton, the
     predecessors of the left one, and per symbol and x' the open mask of the
     pass, an int whose bit y is set while the pair (x', y) might still lower
-    a cell.
+    a cell. A built-in structure's kernel has its t-norm and residuum
+    inlined; any other calls st's (:func:`_kernel`).
 
     ``marks`` holds, per column y' of prev, an int whose bit y is set if the
     cell prev[y][y'] differs from the relation the last round read. The
@@ -210,20 +231,19 @@ def _pass(st: Structure, grid: list[list[float]],
     Finding the pairs costs O(m_b) int ORs (:func:`_revisits`), on the masks
     of one C-level O(n_a n_b) diff (:func:`_diff`).
 
-    Calls that cannot lower a cell are skipped by three laws the built-ins
-    keep in floats, (L1) d' (x) p <= d' (x) 1.0, (L2) (d => b) >= b and
-    (L3) (d => b) >= (d => 0.0): by L1 the sup stops at the first cap
-    d' (x) 1.0, largest first, that cannot raise it; by L2 no residuum is
-    taken for a cell at or below the bound; by L3 a cell at or below its
-    floor d => 0.0 is settled, since no bound lowers it through that
-    transition. The pair is left once the bound reaches its largest
+    Evaluations that cannot lower a cell are skipped by three laws the
+    built-ins keep in floats, (L1) d' (x) p <= d' (x) 1.0, (L2)
+    (d => b) >= b and (L3) (d => b) >= (d => 0.0): by L1 the sup stops at
+    the first cap d' (x) 1.0, largest first, that cannot raise it; by L2 no
+    residuum is taken for a cell at or below the bound; by L3 a cell at or
+    below its floor d => 0.0 is settled, since no bound lowers it through
+    that transition. The pair is left once the bound reaches its largest
     unsettled cell, before any t-norm if every cell is settled (and then
     for good, by the open masks), and a row of the grid with no positive
     cell is not visited. For a structure that keeps the three laws, the
     lowerings are those of the full loops.
     """
-    tnorm = st.tnorm
-    residuum = st.residuum
+    tnorm, residuum = st.tnorm, st.residuum
     max_drop = 0.0
     for row, succ_list, ys, open_s, xp in _revisits(grid, prev, caps, floors,
                                                     marks, opens):
@@ -241,7 +261,8 @@ def _pass(st: Structure, grid: list[list[float]],
             for cap, yp, d in succ_list:
                 if cap <= bound or bound >= top:
                     break
-                v = tnorm(d, prev_y[yp])
+                p = prev_y[yp]
+                v = tnorm(d, p)
                 if v > bound:
                     bound = v
             if bound >= top:
@@ -259,6 +280,41 @@ def _pass(st: Structure, grid: list[list[float]],
         if settled:
             open_s[xp] &= ~settled
     return max_drop
+'''
+_BIND = "    tnorm, residuum = st.tnorm, st.residuum\n"
+_OP_LINE = r"(?m)^( +)(\w+) = (tnorm|residuum)\(([\w.]+), ([\w.]+)\)$"
+_OPERAND = r"\b[xyv]\b"
+_KINDS = {ops: kind for kind, ops in _BUILTINS.items()}  # built-in pair -> name
+# The compiled kernels, (pass, row_norms), by built-in structure name or
+# "generic".
+_KERNELS: dict[str, tuple] = {}
+
+
+def _kernel(st: Structure) -> tuple:
+    """The kernel (pass, row_norms) that st runs: the kernel text with the
+    ops inlined if they are a built-in pair, else the generic kernel, which
+    calls them (a custom pair, checked wrappers, or any other functions).
+    Each is compiled on first use, under a file name that names it."""
+    kind = _KINDS.get((st.tnorm, st.residuum), "generic")
+    kernel = _KERNELS.get(kind)
+    if kernel is None:
+        text = _KERNEL_TEXT
+        if kind != "generic":
+            tnorm, residuum = _BUILTINS[kind]
+            inline = {"tnorm": _OP_TEXT[tnorm], "residuum": _OP_TEXT[residuum]}
+
+            def substitute(line: re.Match) -> str:
+                indent, target, op, x, y = line.groups()
+                names = {"x": x, "y": y, "v": target}
+                return f"{indent}{target} = " + re.sub(
+                    _OPERAND, lambda m: names[m[0]], inline[op])
+
+            text = re.sub(_OP_LINE, substitute, text.replace(_BIND, ""))
+        scope: dict = {}
+        code = compile(text, f"<fuzzbound.dbsim kernel, {kind}>", "exec")
+        exec(code, globals(), scope)
+        kernel = _KERNELS[kind] = scope["_pass"], scope["_row_norms"]
+    return kernel
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits as compress selectors
@@ -327,6 +383,7 @@ def _rounds(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, bisim: bool):
     forward = _views(st, index_a, index_b, b.num_states)
     mirror = _views(st, index_b, index_a, a.num_states) if bisim else None
     ia, ib = a.initial.degrees, b.initial.degrees
+    run_pass, row_norms = _kernel(st)
     grid = _init_grid(st, a, b, bisim)
     # The working grid is x'-major; relations are x-major.
     degrees = tuple(zip(*grid))
@@ -344,16 +401,16 @@ def _rounds(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, bisim: bool):
     changed: Optional[Sequence] = None
     drop = None
     while True:
-        sim_rows.update(_row_norms(st, degrees, ia, ib, changed))
+        sim_rows.update(row_norms(st, degrees, ia, ib, changed))
         if bisim:
-            mirror_rows.update(_row_norms(st, grid, ib, ia, marks))
+            mirror_rows.update(row_norms(st, grid, ib, ia, marks))
         yield degrees, min(1.0, *sim_rows.values(), *mirror_rows.values()), drop
         prev = degrees
         prev_t = list(map(list, grid))  # the yielded component, x'-major
-        drop = _pass(st, grid, prev, *forward, marks)
+        drop = run_pass(st, grid, prev, *forward, marks)
         if bisim:
             rows = _transpose(grid)
-            drop = max(drop, _pass(st, rows, prev_t, *mirror, changed))
+            drop = max(drop, run_pass(st, rows, prev_t, *mirror, changed))
             grid = _transpose(rows)
         if drop == 0.0:
             return
@@ -365,6 +422,7 @@ def _rounds(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, bisim: bool):
 
 def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
          max_steps: int, trace: bool, tol: Optional[float]) -> DbSimResult:
+    max_steps = index(max_steps)  # TypeError for a float, even 2.0
     if max_steps < 0:
         raise ValueError("iteration bound must be >= 0")
     require_same_alphabet(a, b)
@@ -444,7 +502,7 @@ def greatest_fixpoint(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if not 0.0 <= tol < math.inf:  # NaN fails both comparisons
+    if type(tol) is bool or not 0.0 <= tol < math.inf:  # NaN fails both comparisons
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     return _run(st, a, b, canonical_mode(mode), max_iters, trace, tol=tol)
 

@@ -3,16 +3,19 @@
 A structure bundles a t-norm with its adjoint residuum, plus the comparison
 tolerance used everywhere degrees are compared. The three classic structures
 (Godel, Lukasiewicz, product) are built in; user-defined pairs plug in through
-:func:`custom_structure`, each result checked at the call. The built-ins run
-unchecked: they map [0, 1] floats to [0, 1] floats, so relations computed
-from them are frozen unchecked. They are linear and their t-norms are
+:func:`custom_structure`, each result checked at the call. Each built-in op is
+written once, as expression text; its function here is built from that text,
+and dbsim's round kernel is compiled per built-in structure with the same text
+inlined, while any other pair runs the same kernel text through calls. The
+built-ins run unchecked: they map [0, 1] floats to [0, 1] floats, so relations
+computed from them are frozen unchecked. They are linear and their t-norms are
 continuous, which the fixpoint results rely on; this is a documented
 assumption, not a runtime check. The round kernel also relies on three laws
 that follow from monotonicity and adjunction and that the built-ins keep in
 floats: (L1) x (x) y <= x (x) 1.0, (L2) (x => y) >= y and (L3) x => y is
-monotone in y, so (x => y) >= (x => 0.0). The norms take a t-norm's
-operands in whichever order suits the loop, which relies on (C)
-x (x) y == y (x) x, kept bit for bit by the built-ins.
+monotone in y, so (x => y) >= (x => 0.0). The norms take a t-norm's operands
+in whichever order suits the loop, which relies on (C) x (x) y == y (x) x,
+kept bit for bit by the built-ins.
 
 :class:`Frozen` is the immutable base of ``Structure`` and of the package's
 other value classes (sets, relations, automata, results, formulas).
@@ -26,7 +29,6 @@ from typing import Callable
 from .errors import DegreeRangeError
 
 DEFAULT_EPS = 1e-9
-_MIN_NORMAL = 2.0 ** -1022  # smallest positive normal float
 
 BinaryOp = Callable[[float, float], float]
 
@@ -51,38 +53,35 @@ def validate_degree(value: float, what: str = "degree") -> float:
     return v if v else 0.0  # -0.0 becomes 0.0; any other float is returned as is
 
 
-def _godel_tnorm(x: float, y: float) -> float:
-    return x if x < y else y
+# Each built-in op is written once, as an expression over its operands x and
+# y in which v may name a temporary; it reads nothing but builtins and math.
+# The functions are built from this text, and dbsim's round kernel inlines it.
+_OP_TEXT: dict[BinaryOp, str] = {}
 
 
-def _godel_residuum(x: float, y: float) -> float:
-    return 1.0 if x <= y else y
+def _op(name: str, text: str) -> BinaryOp:
+    # The module-level function of a built-in op, built from its text.
+    scope: dict[str, BinaryOp] = {}
+    exec(f"def {name}(x: float, y: float) -> float:\n    return {text}\n",
+         globals(), scope)
+    _OP_TEXT[scope[name]] = text
+    return scope[name]
 
 
-def _lukasiewicz_tnorm(x: float, y: float) -> float:
-    v = x + y - 1.0
-    return v if v > 0.0 else 0.0
-
-
-def _lukasiewicz_residuum(x: float, y: float) -> float:
-    v = 1.0 - x + y
-    return v if v < 1.0 else 1.0
-
-
-def _product_tnorm(x: float, y: float) -> float:
-    return x * y
-
-
-def _product_residuum(x: float, y: float) -> float:
-    # x = 0 falls under x <= y, so the division is never by zero.
-    if x <= y:
-        return 1.0
-    if x >= _MIN_NORMAL:
-        return y / x
-    # Subnormal x: the t-norm x * t rounds to a multiple of 2**-1074, so
-    # x * t <= y holds in floats up to t = (y + 2**-1075) / x, not y / x
-    # (e.g. 5e-324 * 0.5 == 0.0). Scaled by 2**1074 both are exact integers.
-    return (math.ldexp(y, 1074) + 0.5) / math.ldexp(x, 1074)
+_godel_tnorm = _op("_godel_tnorm", "x if x < y else y")
+_godel_residuum = _op("_godel_residuum", "1.0 if x <= y else y")
+_lukasiewicz_tnorm = _op("_lukasiewicz_tnorm", "v if (v := x + y - 1.0) > 0.0 else 0.0")
+_lukasiewicz_residuum = _op("_lukasiewicz_residuum",
+                            "v if (v := 1.0 - x + y) < 1.0 else 1.0")
+_product_tnorm = _op("_product_tnorm", "x * y")
+# x = 0 falls under x <= y, so the division is never by zero. Below 2**-1022,
+# the smallest positive normal float, x is subnormal: the t-norm x * t rounds
+# to a multiple of 2**-1074, so x * t <= y holds in floats up to
+# t = (y + 2**-1075) / x, not y / x (e.g. 5e-324 * 0.5 == 0.0). Scaled by
+# 2**1074 both are exact integers.
+_product_residuum = _op("_product_residuum",
+                        "1.0 if x <= y else y / x if x >= 2.0 ** -1022"
+                        " else (math.ldexp(y, 1074) + 0.5) / math.ldexp(x, 1074)")
 
 
 def _checked(name: str, op: BinaryOp) -> BinaryOp:
@@ -224,6 +223,7 @@ def custom_structure(tnorm: BinaryOp, residuum: BinaryOp,
     t-norm is expected to commute exactly, (C) x (x) y == y (x) x, as the
     norms pass its operands in either order. Only the results are checked,
     at the call. A computation calls ``residuum(d, 0.0)`` once per
-    transition of degree d when it starts.
+    transition of degree d when it starts. The pair runs the round kernel
+    that the built-ins run with their ops inlined, through calls to it.
     """
     return Structure("custom", tnorm, residuum, eps_cmp)

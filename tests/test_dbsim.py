@@ -9,6 +9,7 @@ from fuzzbound import (
     FuzzyAutomaton,
     FuzzyRelation,
     FuzzySet,
+    Structure,
     check_bisim,
     check_dbbisim_prefix,
     check_dbsim_prefix,
@@ -43,6 +44,8 @@ def rel2(entries: dict) -> FuzzyRelation:
     """2x2 relation between the chain pair's state sets; keys are (row, col)."""
     return relation(2, 2, [(r, c, v) for (r, c), v in entries.items()])
 
+
+KERNEL = dbsim._kernel  # picks a structure's kernel; tests wrap dbsim._kernel
 
 # Components of the greatest depth-bounded simulation between the chain pair,
 # per structure, as {step: relation}; "inf" holds the plateau value.
@@ -372,15 +375,19 @@ class TestGreatestFixpoint:
 
 
 def counted_passes(monkeypatch):
-    """Wrap dbsim._pass; return the list that gets an item per call."""
+    """Wrap the pass of every kernel dbsim._kernel picks; return the list
+    that gets an item per call."""
     calls = []
-    kernel = dbsim._pass
 
-    def counted(*args):
-        calls.append(None)
-        return kernel(*args)
+    def counted_kernel(st):
+        run_pass, row_norms = KERNEL(st)
 
-    monkeypatch.setattr(dbsim, "_pass", counted)
+        def counted(*args):
+            calls.append(None)
+            return run_pass(*args)
+        return counted, row_norms
+
+    monkeypatch.setattr(dbsim, "_kernel", counted_kernel)
     return calls
 
 
@@ -435,6 +442,40 @@ class TestStopRules:
             calls.clear()
             compute(st, a, b, k)
             assert len(calls) == passes
+
+
+class TestIntegerBounds:
+    # A depth or iteration cap is an int: a float such as 2.5 never equals a
+    # round index, so the cap would be ignored and the run go on to the
+    # fixpoint (without end under product, where there may be none).
+
+    @pytest.mark.parametrize("bound", [2.5, 2.0])
+    def test_float_depth_is_refused(self, bound):
+        a, b = chain_pair()
+        for compute in (compute_dbsim, compute_dbbisim):
+            with pytest.raises(TypeError):
+                compute(structure("godel"), a, b, bound)
+
+    @pytest.mark.parametrize("bound", [1.5, 2.0])
+    def test_float_max_iters_is_refused(self, bound):
+        a, b = chain_pair()
+        with pytest.raises(TypeError):
+            greatest_fixpoint(structure("product"), a, b, "sim", max_iters=bound)
+
+    def test_index_types_are_ints(self):
+        class Depth:
+            def __index__(self):
+                return 1
+
+        a, b = chain_pair()
+        result = compute_dbsim(structure("godel"), a, b, Depth(), trace=True)
+        assert type(result.requested) is int and len(result.prefix) == 2
+
+    @pytest.mark.parametrize("tol", [True, False])
+    def test_bool_tol_is_refused(self, tol):
+        a, b = chain_pair()
+        with pytest.raises(ValueError, match="tol must be a finite number"):
+            greatest_fixpoint(structure("godel"), a, b, "sim", tol=tol)
 
 
 class TestPrefixNorm:
@@ -582,7 +623,7 @@ def chain_repr(result) -> str:
 
 class TestLawPruning:
     # The kernel skips the calls that the laws (L1), (L2) and (L3) of
-    # dbsim._pass show cannot lower a cell; the outputs stay naive_dbsim's
+    # dbsim's _pass show cannot lower a cell; the outputs stay naive_dbsim's
     # bit for bit.
 
     @staticmethod
@@ -828,11 +869,8 @@ class _Read(list):
         return super().__getitem__(x)
 
 
-KERNEL = dbsim._pass  # the kernel itself, for tests that wrap dbsim._pass
-
-
 def logged_pass(st, grid, prev, caps, floors, *state):
-    """Run dbsim._pass on logging copies of the predecessor lists and of
+    """Run the pass of st's kernel on logging copies of the predecessor lists and of
     grid's rows, copy its lowerings back into grid, and return its drop and
     its visits (symbol, x', y) in order: a visit walks the predecessor list
     of y, which logs (symbol, y), and then reads a cell of row x', which
@@ -841,7 +879,7 @@ def logged_pass(st, grid, prev, caps, floors, *state):
     walked = [[_Walked(pred_y, (s, y), log) for y, pred_y in enumerate(pred_s)]
               for s, pred_s in enumerate(floors)]
     rows = [_Read(row, xp, log) for xp, row in enumerate(grid)]
-    drop = KERNEL(st, rows, prev, caps, walked, *state)
+    drop = KERNEL(st)[0](st, rows, prev, caps, walked, *state)
     for row, read in zip(grid, rows):
         row[:] = read
     # A y without predecessors is never visited, not even to find no cell.
@@ -891,7 +929,7 @@ def pass_inputs(draw):
 
 
 class TestRevisitPass:
-    # The pairs (x', y) that dbsim._pass visits, seen through logged_pass.
+    # The pairs (x', y) that the kernel's _pass visits, seen through logged_pass.
 
     @staticmethod
     def settled(floors, grid):
@@ -903,7 +941,8 @@ class TestRevisitPass:
 
     @staticmethod
     def logged_kernel(monkeypatch):
-        """Wrap dbsim._pass in logged_pass; return the list its visits go to."""
+        """Run every pass through logged_pass; return the list its visits
+        go to."""
         visits = []
 
         def counted(st, grid, prev, caps, floors, *state):
@@ -911,7 +950,7 @@ class TestRevisitPass:
             visits.extend(made)
             return drop
 
-        monkeypatch.setattr(dbsim, "_pass", counted)
+        monkeypatch.setattr(dbsim, "_kernel", lambda st: (counted, KERNEL(st)[1]))
         return visits
 
     # A Lukasiewicz pair settled by the floor 5e-324 => 0.0 = 1.0, whose
@@ -1002,6 +1041,91 @@ class TestRevisitPass:
         assert falls == sorted(set(falls), reverse=True), falls
         assert visits.count((0, 0, 1)) == 1
         TestLawPruning.assert_naive(st, a, b, 4)
+
+
+# The edge degrees and the smallest normal float, 2**-1022, where the
+# product residuum changes branch, with a few plain ones.
+KERNEL_DEGREES = EDGE_DEGREES + (2.0 ** -1022, 0.7, 0.25)
+
+
+@strat.composite
+def kernel_pairs(draw):
+    """Pairs of 1-12 states over 1-3 symbols with sparse transitions, every
+    degree one of KERNEL_DEGREES (or 0.0, for initial and terminal ones)."""
+    symbols = draw(strat.integers(1, 3))
+    degree = strat.sampled_from(KERNEL_DEGREES)
+    end = strat.sampled_from((0.0,) + KERNEL_DEGREES)
+
+    def automaton():
+        n = draw(strat.integers(1, 12))
+        edges = strat.sets(strat.tuples(strat.integers(0, n - 1),
+                                        strat.integers(0, n - 1)), max_size=3 * n)
+        transitions = tuple(tuple((x, y, draw(degree)) for x, y in sorted(draw(edges)))
+                            for _ in range(symbols))
+        ends = strat.lists(end, min_size=n, max_size=n)
+        return edge_automaton(transitions, draw(ends), draw(ends))
+
+    return automaton(), automaton()
+
+
+def routed(st):
+    """st with its ops behind fresh functions: no built-in pair, so it runs
+    the generic kernel, which calls them."""
+    return Structure(st.kind, lambda x, y: st.tnorm(x, y),
+                     lambda x, y: st.residuum(x, y))
+
+
+class TestCompiledKernels:
+    # A built-in structure runs the kernel text with its ops inlined; any
+    # other pair runs the same text through calls.
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pair=kernel_pairs(), name=strat.sampled_from(STRUCTURE_NAMES))
+    def test_inlined_ops_equal_called_ones(self, pair, name):
+        a, b = pair
+        st = structure(name)
+        called = routed(st)
+        assert KERNEL(called) != KERNEL(st)
+        for k in range(9):
+            for compute in (compute_dbsim, compute_dbbisim):
+                assert (chain_repr(compute(st, a, b, k, trace=True))
+                        == chain_repr(compute(called, a, b, k, trace=True)))
+        for mode in ("sim", "bisim"):
+            for tol in (0.0, 1e-3):
+                runs = [greatest_fixpoint(s, a, b, mode, max_iters=100, tol=tol,
+                                          trace=True) for s in (st, called)]
+                assert chain_repr(runs[0]) == chain_repr(runs[1])
+
+    @pytest.mark.parametrize("name", STRUCTURE_NAMES)
+    def test_builtin_kernels_call_no_op(self, name):
+        for fn in KERNEL(structure(name)):
+            code = fn.__code__
+            assert {"st", "tnorm", "residuum"}.isdisjoint(code.co_names)
+            assert {"tnorm", "residuum"}.isdisjoint(code.co_varnames)
+            assert name in code.co_filename
+        for fn in KERNEL(routed(structure(name))):
+            assert "tnorm" in fn.__code__.co_varnames
+            assert "generic" in fn.__code__.co_filename
+
+    def test_the_cache_holds_the_builtin_pairs_only(self):
+        a, b = chain_pair()
+        for name in STRUCTURE_NAMES * 2:
+            compute_dbbisim(structure(name), a, b, 2)
+            compute_dbbisim(routed(structure(name)), a, b, 2)
+        assert set(dbsim._KERNELS) <= {"generic", *STRUCTURE_NAMES}
+
+    def test_a_traceback_names_the_kernel(self):
+        def failing(x, y):
+            if y < 1.0:  # every call before the kernel's has y = 1.0
+                raise ArithmeticError
+            return x
+
+        a, b = chain_pair()
+        st = custom_structure(failing, lambda x, y: 1.0 if x <= y else y)
+        with pytest.raises(ArithmeticError) as info:
+            compute_dbsim(st, a, b, 1)
+        assert any(str(entry.path) == "<fuzzbound.dbsim kernel, generic>"
+                   for entry in info.traceback)
 
 
 def differing(new, old):

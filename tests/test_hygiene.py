@@ -3,7 +3,9 @@
 No module other than ``__init__`` (whose imports are the public exports) may
 import a name it never uses, or define a private module-level name it never
 references. No function in the package may take a parameter it never reads,
-so that a settable value with no effect cannot enter the API.
+so that a settable value with no effect cannot enter the API, or assign a
+local it never reads. dbsim's round kernel is source text that dbsim
+compiles per structure; its generic instantiation is read as part of dbsim.
 """
 
 import ast
@@ -11,8 +13,13 @@ from pathlib import Path
 
 import pytest
 
+from fuzzbound import dbsim
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fuzzbound"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+# The kernel text's functions, which dbsim._kernel fetches by name from the
+# namespace it compiles them in.
+KERNEL_EXPORTS = ["_row_norms", "_pass"]
 
 
 def _annotations(tree):
@@ -81,8 +88,30 @@ def unread_parameters(tree):
     return unread
 
 
-def parse(module):
-    return ast.parse((PACKAGE / module).read_text(), filename=module)
+def unread_locals(tree):
+    """(function, name) for each name a function assigns and never reads;
+    ``_`` is exempt, and a read in a nested function counts."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read = {}, set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                if isinstance(sub.ctx, ast.Store):
+                    stored[sub.id] = None
+                else:
+                    read.add(sub.id)
+        unread += [(node.name, name) for name in stored
+                   if name not in read and name != "_"]
+    return unread
+
+
+def parse(module, kernel_text=dbsim._KERNEL_TEXT):
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    if module == "dbsim.py":
+        tree.body += ast.parse(kernel_text, filename="<kernel>").body
+    return tree
 
 
 def test_modules_are_found():
@@ -96,12 +125,23 @@ def test_every_import_is_used(module):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_private_name_is_referenced(module):
-    assert unreferenced_private_names(parse(module)) == []
+    exported = KERNEL_EXPORTS if module == "dbsim.py" else []
+    assert unreferenced_private_names(parse(module)) == exported
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_parameter_is_read(module):
     assert unread_parameters(parse(module)) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_local_is_read(module):
+    assert unread_locals(parse(module)) == []
+
+
+def test_the_kernel_text_defines_only_its_exports():
+    tree = ast.parse(dbsim._KERNEL_TEXT)
+    assert [node.name for node in tree.body] == KERNEL_EXPORTS
 
 
 def test_the_guard_sees_dead_code():
@@ -120,3 +160,19 @@ def test_the_guard_sees_dead_code():
     assert unused_imports(tree) == ["os", "Optional"]
     assert unreferenced_private_names(tree) == ["_LIMIT", "_helper"]
     assert unread_parameters(tree) == [("_helper", "x"), ("run", "cap")]
+    assert unread_locals(ast.parse(
+        "def f(x):\n"
+        "    a, _ = b, c = x\n"
+        "    def g(): return b\n"
+        "    return g\n")) == [("f", "a"), ("f", "c")]
+
+
+def test_the_guard_sees_dead_code_in_the_kernel_text():
+    # An unused local, and a parameter of the generic kernel left unread.
+    text = dbsim._KERNEL_TEXT
+    spare = text.replace("    max_drop = 0.0\n", "    max_drop = spare = 0.0\n", 1)
+    assert spare != text
+    assert unread_locals(parse("dbsim.py", spare)) == [("_pass", "spare")]
+    unread = text.replace("marks, opens):", "None, opens):", 1)
+    assert unread != text
+    assert unread_parameters(parse("dbsim.py", unread)) == [("_pass", "marks")]
