@@ -70,9 +70,42 @@ class _Parser(argparse.ArgumentParser):
         raise InputFormatError(message)
 
 
+def _dumps(doc: dict) -> str:
+    """``json.dumps(doc, sort_keys=True)``, byte for byte. A relation
+    (``phi_k``, each ``trace`` component) is joined in C-level passes from
+    pieces formatted once per document: a row's ``"[r, "``, a column's
+    ``"c, "``, a degree's ``repr(v) + "]"``; one object is encoded once."""
+    heads: list[str] = []
+    mids: list[str] = []
+    tails: dict[float, str] = {}
+    done: dict[int, str] = {}
+
+    def relation(rel: dict) -> str:
+        if id(rel) not in done:
+            rows, cols = rel["rows"], rel["cols"]
+            heads.extend(map("[%d, ".__mod__, range(len(heads), rows)))
+            mids.extend(map("%d, ".__mod__, range(len(mids), cols)))
+            r, c, v = tuple(zip(*rel["entries"])) or ((), (), ())
+            new = set(v).difference(tails)
+            tails.update(zip(new, map("%r]".__mod__, new)))
+            entries = ", ".join(map("".join, zip(
+                map(heads.__getitem__, r), map(mids.__getitem__, c),
+                map(tails.__getitem__, v))))
+            done[id(rel)] = f'{{"cols": {cols}, "entries": [{entries}], "rows": {rows}}}'
+        return done[id(rel)]
+
+    def value(key: str, item) -> str:
+        if key == "trace":
+            return "[" + ", ".join(map(relation, item)) + "]"
+        return relation(item) if key == "phi_k" else json.dumps(item, sort_keys=True)
+
+    return "{" + ", ".join(f"{json.dumps(key)}: {value(key, doc[key])}"
+                           for key in sorted(doc)) + "}"
+
+
 def _emit(doc: dict, output: Optional[str]) -> None:
-    # One line from the C encoder; floats print as repr, which round-trips.
-    text = json.dumps(doc, sort_keys=True) + "\n"
+    # One line; floats print as repr, which round-trips.
+    text = _dumps(doc) + "\n"
     if output:
         try:
             with open(output, "w", encoding="utf-8") as handle:

@@ -110,18 +110,20 @@ class DbSimResult(Frozen):
         component are in :func:`relation_to_json`'s sparse form, whose row
         and column indices are the state indices of the left and right
         automaton (their positions in a JSON file's ``"states"`` array);
-        ``trace`` is present only for a traced result. Degrees are the
-        computed floats themselves."""
+        ``trace`` is present only for a traced result, and then ``phi_k``
+        is the very dict ``trace[-1]``: a caller should mutate a copy.
+        Degrees are the computed floats themselves."""
+        trace = [relation_to_json(rel) for rel in self.prefix]
         doc = {
             "mode": self.mode,
             "k": self.requested,
             "fixpoint_at": self.fixpoint_at,
             "status": self.status,
-            "phi_k": relation_to_json(self.relation),
+            "phi_k": trace[-1],
             "norms": list(self.norms),
         }
         if self.traced:
-            doc["trace"] = [relation_to_json(rel) for rel in self.prefix]
+            doc["trace"] = trace
         return doc
 
 
@@ -422,6 +424,8 @@ def _rounds(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, bisim: bool):
 
 def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
          max_steps: int, trace: bool, tol: Optional[float]) -> DbSimResult:
+    if type(max_steps) is bool:  # index() takes True as 1
+        raise TypeError("'bool' object cannot be interpreted as an integer")
     max_steps = index(max_steps)  # TypeError for a float, even 2.0
     if max_steps < 0:
         raise ValueError("iteration bound must be >= 0")

@@ -1,10 +1,11 @@
 import io
 import json
+import tempfile
 import tracemalloc
 from contextlib import redirect_stdout
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 from fuzzbound import (
@@ -13,12 +14,15 @@ from fuzzbound import (
     automaton_to_json,
     compute_dbbisim,
     compute_dbsim,
+    custom_structure,
+    greatest_fixpoint,
     relation_from_json,
     relation_to_json,
     structure,
 )
-from fuzzbound import fuzzy
-from fuzzbound.cli import _emit, run
+from fuzzbound import dbsim, fuzzy
+from fuzzbound.cli import _emit, build_parser, run
+from fuzzbound.dbsim import DbSimResult
 from fuzzbound.fuzzy import MAX_CELLS
 from fuzzbound.oracle import RandomAutomatonSpec, generate_automaton
 
@@ -427,13 +431,117 @@ def relations(draw):
         for _ in range(rows)])
 
 
+def emitted(doc: dict) -> str:
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        _emit(doc, None)
+    return buffer.getvalue()
+
+
+# The built-ins, and Goedel's pair written out, which runs the generic kernel.
+DOC_STRUCTURES = tuple(map(structure, STRUCTURE_NAMES)) + (custom_structure(
+    lambda x, y: x if x < y else y, lambda x, y: 1.0 if x <= y else y),)
+DOC_DEGREES = EDGE_DEGREES[:5]
+
+
+@strat.composite
+def one_symbol_automata(draw):
+    n = draw(strat.integers(1, 3))
+    degree = strat.sampled_from((0.0,) + DOC_DEGREES)
+    states = [f"q{i}" for i in range(n)]
+    return FuzzyAutomaton.build(
+        alphabet=["s"], states=states,
+        initial=dict(zip(states, draw(strat.lists(degree, min_size=n, max_size=n)))),
+        terminal=dict(zip(states, draw(strat.lists(degree, min_size=n, max_size=n)))),
+        transitions=[(x, "s", y, d) for x in states for y in states
+                     if (d := draw(degree))])
+
+
+@strat.composite
+def results(draw):
+    """Computed results, or results over drawn chains with 0xn, nx0 and
+    all-zero components."""
+    traced = draw(strat.booleans())
+    if draw(strat.booleans()):
+        st = draw(strat.sampled_from(DOC_STRUCTURES))
+        a, b = draw(one_symbol_automata()), draw(one_symbol_automata())
+        command = draw(strat.sampled_from(("dbsim", "dbbisim", "greatest")))
+        if command == "greatest":
+            return greatest_fixpoint(st, a, b, draw(strat.sampled_from(("sim", "bisim"))),
+                                     max_iters=3, tol=0.0, trace=traced)
+        compute = compute_dbsim if command == "dbsim" else compute_dbbisim
+        return compute(st, a, b, draw(strat.integers(0, 3)), trace=traced)
+    rows, cols = draw(strat.integers(0, 3)), draw(strat.integers(0, 3))
+    degree = strat.sampled_from((0.0, 0.0) + DOC_DEGREES)
+    chain = draw(strat.lists(strat.builds(
+        lambda grid: FuzzyRelation(rows, cols, grid),
+        strat.lists(strat.lists(degree, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)), min_size=1, max_size=3))
+    norms = tuple(draw(strat.lists(degree, min_size=len(chain), max_size=len(chain))))
+    return DbSimResult("simulation", len(chain) - 1,
+                       tuple(chain if traced else chain[-1:]), norms, None,
+                       "depth", traced)
+
+
 class TestOutputFormat:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(results())
+    def test_result_document_is_json_dumps(self, result):
+        doc = result.to_json()
+        text = emitted(doc)
+        assert text == json.dumps(doc, sort_keys=True) + "\n"
+        assert relation_from_json(json.loads(text)["phi_k"]) == result.relation
+        if result.traced:
+            assert doc["phi_k"] is doc["trace"][-1]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(one_symbol_automata(), one_symbol_automata(),
+           strat.sampled_from(DOC_STRUCTURES), strat.sampled_from(DOC_DEGREES))
+    def test_read_side_documents_are_json_dumps(self, a, b, st, constant):
+        with tempfile.TemporaryDirectory() as root:
+            left, right, trace = (f"{root}/{name}.json" for name in "abt")
+            for path, automaton in ((left, a), (right, b)):
+                with open(path, "w", encoding="utf-8") as handle:
+                    json.dump(automaton_to_json(automaton), handle)
+            with open(trace, "w", encoding="utf-8") as handle:
+                handle.write(emitted(compute_dbsim(st, a, b, 2, trace=True).to_json()))
+            for argv in (
+                    ["check", "--right", right, "--relation", trace, "--mode", "dbsim"],
+                    ["lang", "--max-len", "2"], ["lang", "--word", "s s"],
+                    ["formula", "--expr", f"(s . ({constant!r} -> (s . T)))"]):
+                args = build_parser().parse_args([argv[0], "--left", left, *argv[1:]])
+                doc = args.handler(args, st)
+                assert emitted(doc) == json.dumps(doc, sort_keys=True) + "\n"
+
+    def test_traced_dbsim_writes_each_component_once(self, files, tmp_path,
+                                                     monkeypatch):
+        # The benchmark's tracer spans every relation_to_json call that the
+        # CLI makes through dbsim: one per component of the chain.
+        calls = []
+        original = dbsim.relation_to_json
+        monkeypatch.setattr(dbsim, "relation_to_json",
+                            lambda rel: calls.append(rel) or original(rel))
+        left, right = files
+        out = tmp_path / "trace.json"
+        assert run(["dbsim", "--left", left, "--right", right, "--depth", "3",
+                    "--tnorm", "lukasiewicz", "--trace", "--output", str(out)]) == 0
+        assert len(calls) == 3 + 1
+        assert out.read_bytes() == (
+            b'{"fixpoint_at": null, "k": 3, "mode": "simulation", "norms": '
+            b'[1.0, 0.8999999999999999, 0.8000000000000003, 0.7000000000000002], '
+            b'"phi_k": {"cols": 2, "entries": [[0, 0, 0.7000000000000001], '
+            b'[0, 1, 0.6], [1, 1, 0.5]], "rows": 2}, "status": "depth", "trace": '
+            b'[{"cols": 2, "entries": [[0, 0, 1.0], [0, 1, 1.0], [1, 1, 0.8]], '
+            b'"rows": 2}, {"cols": 2, "entries": [[0, 0, 0.9], '
+            b'[0, 1, 0.8000000000000002], [1, 1, 0.7000000000000002]], "rows": 2}, '
+            b'{"cols": 2, "entries": [[0, 0, 0.8000000000000002], '
+            b'[0, 1, 0.7000000000000001], [1, 1, 0.6000000000000001]], "rows": 2}, '
+            b'{"cols": 2, "entries": [[0, 0, 0.7000000000000001], [0, 1, 0.6], '
+            b'[1, 1, 0.5]], "rows": 2}]}\n')
+
     @given(relations())
     def test_emitted_relation_reads_back_bit_for_bit(self, rel):
-        buffer = io.StringIO()
-        with redirect_stdout(buffer):
-            _emit(relation_to_json(rel), None)
-        back = relation_from_json(json.loads(buffer.getvalue()))
+        back = relation_from_json(json.loads(emitted(relation_to_json(rel))))
         assert (back.rows, back.cols) == (rel.rows, rel.cols)
         assert back.degrees == rel.degrees
 

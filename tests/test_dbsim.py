@@ -462,6 +462,19 @@ class TestIntegerBounds:
         with pytest.raises(TypeError):
             greatest_fixpoint(structure("product"), a, b, "sim", max_iters=bound)
 
+    # A bool is an int to operator.index: True would run one round.
+    @pytest.mark.parametrize("bound", [True, False])
+    def test_bool_depth_is_refused(self, bound):
+        a, b = chain_pair()
+        for compute in (compute_dbsim, compute_dbbisim):
+            with pytest.raises(TypeError, match="'bool' object"):
+                compute(structure("godel"), a, b, bound)
+
+    def test_bool_max_iters_is_refused(self):
+        a, b = chain_pair()
+        with pytest.raises(TypeError, match="'bool' object"):
+            greatest_fixpoint(structure("product"), a, b, "sim", max_iters=True)
+
     def test_index_types_are_ints(self):
         class Depth:
             def __index__(self):
