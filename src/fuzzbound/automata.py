@@ -18,7 +18,14 @@ from .errors import (
     UnknownSymbol,
     WordCapExceeded,
 )
-from .fuzzy import FuzzyRelation, FuzzySet, compose_rel_set, inverse, subset_degree
+from .fuzzy import (
+    MAX_CELLS,
+    FuzzyRelation,
+    FuzzySet,
+    compose_rel_set,
+    inverse,
+    subset_degree,
+)
 from .lattice import Frozen, Structure, validate_degree
 
 DEFAULT_WORD_CAP = 10**6
@@ -233,7 +240,9 @@ def require_word_bound(automaton: FuzzyAutomaton, n: int) -> None:
     """Refuse a negative length bound, or one whose words would exceed
     ``DEFAULT_WORD_CAP``: k^(n + 1) for k >= 2 symbols (the exponent clipped
     where 2^e is past the cap), else (n + 1)^2 for n + 1 levels of words of
-    up to n letters."""
+    up to n letters; or whose widest level, k^n words (one word for k < 2)
+    with a degree per state each, would hold more than ``MAX_CELLS``
+    degrees."""
     if n < 0:
         raise ValueError("word-length bound must be >= 0")
     cap = DEFAULT_WORD_CAP
@@ -241,6 +250,11 @@ def require_word_bound(automaton: FuzzyAutomaton, n: int) -> None:
     if (k ** min(n + 1, cap.bit_length() + 1) if k > 1 else (n + 1) ** 2) > cap:
         raise WordCapExceeded(
             f"words of length <= {n} over {k} symbols exceed the cap of {cap}")
+    slots = (k ** n if k > 1 else 1) * automaton.num_states
+    if slots > MAX_CELLS:
+        raise WordCapExceeded(
+            f"words of length {n} over {k} symbols hold {slots} degrees of "
+            f"{automaton.num_states} states, over the cap of {MAX_CELLS}")
 
 
 def language_bounded(st: Structure, automaton: FuzzyAutomaton,
@@ -250,7 +264,8 @@ def language_bounded(st: Structure, automaton: FuzzyAutomaton,
     Zero-degree words are kept: graded language comparisons quantify over
     every word up to the bound. Words are enumerated breadth first, carrying
     the forward state-distribution vector so each level costs O(m) per word.
-    More than ``DEFAULT_WORD_CAP`` words raise ``WordCapExceeded`` first.
+    More than ``DEFAULT_WORD_CAP`` words, or a level of more than
+    ``MAX_CELLS`` degrees, raise ``WordCapExceeded`` first.
     """
     require_word_bound(automaton, n)
     tnorm = st.tnorm

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 from typing import Optional, Sequence
 
 from .automata import (
@@ -23,15 +24,6 @@ from .automata import (
     language_bounded,
     language_eval,
     word_from_names,
-)
-from .dbsim import (
-    check_bisim,
-    check_dbbisim_prefix,
-    check_dbsim_prefix,
-    check_sim,
-    compute_dbbisim,
-    compute_dbsim,
-    greatest_fixpoint,
 )
 from .errors import (
     AlphabetMismatch,
@@ -46,7 +38,16 @@ from .errors import (
 )
 from .fuzzy import relation_from_json
 from .lattice import DEFAULT_EPS, STRUCTURE_NAMES, Structure, structure
-from .logic import eval_formula, format_formula, parse_formula
+
+# The names the handlers call from these modules, which load only when a
+# command that needs them runs: its handler first binds them as module
+# globals, keeping any already set (a wrapper put in their place), and
+# ``__getattr__`` serves a reader that comes before it.
+_LAZY = {
+    "dbsim": ("check_bisim", "check_dbbisim_prefix", "check_dbsim_prefix",
+              "check_sim", "compute_dbbisim", "compute_dbsim", "greatest_fixpoint"),
+    "logic": ("eval_formula", "format_formula", "parse_formula"),
+}
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -60,6 +61,20 @@ _EXIT_CODES = (
     ((WordCapExceeded, TraceCapExceeded, RelationCapExceeded), EXIT_RESOURCE),
     ((FuzzboundError, ValueError), EXIT_INPUT),
 )
+
+
+def _bind(module: str) -> None:
+    source = import_module(f"{__package__}.{module}")
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(source, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args: argparse.Namespace, st: Structure) -> dict:
+    _bind("dbsim")
     left = automaton_from_json(_load_json(args.left))
     right = automaton_from_json(_load_json(args.right))
     if args.command == "greatest":
@@ -195,6 +211,7 @@ def _cmd_compute(args: argparse.Namespace, st: Structure) -> dict:
 
 
 def _cmd_check(args: argparse.Namespace, st: Structure) -> dict:
+    _bind("dbsim")
     left = automaton_from_json(_load_json(args.left))
     right = automaton_from_json(_load_json(args.right))
     doc = _load_json(args.relation)
@@ -235,6 +252,7 @@ def _cmd_lang(args: argparse.Namespace, st: Structure) -> dict:
 
 
 def _cmd_formula(args: argparse.Namespace, st: Structure) -> dict:
+    _bind("logic")
     automaton = automaton_from_json(_load_json(args.left))
     formula = parse_formula(args.expr)
     values = eval_formula(st, automaton, formula)

@@ -16,8 +16,11 @@ from .lattice import Frozen, Structure, validate_degree
 
 # The most degrees a loaded relation, or the components of a traced run, may
 # hold: 2**24 cells are 128 MiB of tuple slots alone, before any float they
-# point to.
+# point to (a loaded relation is built in lists first, as much again). A
+# loaded relation's row counts as _ROW_CELLS cells more: the list and the
+# tuple that hold it take about 100 bytes, even when it is empty.
 MAX_CELLS = 2 ** 24
+_ROW_CELLS = 8
 
 # The 0.0 a loaded relation's cells start as. It is no parsed entry's float,
 # so an entry whose cell holds any other object repeats an earlier entry.
@@ -186,9 +189,9 @@ def relation_from_json(doc: dict,
                        shape: Optional[tuple[int, int]] = None) -> FuzzyRelation:
     """Parse the sparse JSON form. Given ``shape``, a document that declares
     any other shape raises ``DimensionMismatch`` before any cell is built; one
-    that declares more than ``MAX_CELLS`` cells raises
-    ``RelationCapExceeded``, also before. A repeated (row, col) entry raises
-    ``InputFormatError``."""
+    that declares more than ``MAX_CELLS`` cells, counting ``_ROW_CELLS`` more
+    per row, raises ``RelationCapExceeded``, also before. A repeated
+    (row, col) entry raises ``InputFormatError``."""
     if not isinstance(doc, dict):
         raise InputFormatError("relation document must be a JSON object")
     try:
@@ -201,7 +204,7 @@ def relation_from_json(doc: dict,
     if shape is not None and (rows, cols) != shape:
         raise DimensionMismatch(
             f"relation is {rows}x{cols}, expected {shape[0]}x{shape[1]}")
-    if rows * max(cols, 1) > MAX_CELLS:  # an empty row still takes a slot
+    if rows * (cols + _ROW_CELLS) > MAX_CELLS:
         raise RelationCapExceeded(
             f"a {rows}x{cols} relation is over the cap of {MAX_CELLS} cells")
     raw = doc.get("entries", [])
@@ -212,9 +215,14 @@ def relation_from_json(doc: dict,
     for item in raw:
         if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise InputFormatError(f"malformed relation entry {item!r}")
-        r = _json_index(item[0], "entry row")
-        c = _json_index(item[1], "entry column")
-        v = validate_degree(item[2], "relation degree")
+        r, c, v = item
+        # The common entry passes these tests; any other takes the full checks.
+        if type(r) is not int:
+            r = _json_index(r, "entry row")
+        if type(c) is not int:
+            c = _json_index(c, "entry column")
+        if type(v) is not float or not 0.0 < v <= 1.0:
+            v = validate_degree(v, "relation degree")
         if 0 <= r < rows and 0 <= c < cols:
             row = grid[r]
             if row[c] is not _UNSET:

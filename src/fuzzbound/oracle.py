@@ -153,6 +153,7 @@ def _verify_languages(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
                       invariance: bool) -> VerificationReport:
     require_same_alphabet(a, b)
     require_word_bound(a, n)
+    require_word_bound(b, n)  # each word holds a degree per state of b too
     tnorm = st.tnorm
     compare = st.biresiduum if invariance else st.residuum
     eps = st.eps_cmp

@@ -18,6 +18,7 @@ from hypothesis import strategies as strat
 
 from fuzzbound import (
     Formula,
+    FuzzyRelation,
     automaton_from_json,
     automaton_to_json,
     compute_dbsim,
@@ -28,7 +29,7 @@ from fuzzbound import (
     structure,
     validate_degree,
 )
-from fuzzbound import automata
+from fuzzbound import automata, fuzzy
 from fuzzbound.automata import FuzzyAutomaton, require_word_bound
 from fuzzbound.cli import run
 from fuzzbound.errors import (
@@ -132,11 +133,11 @@ class TestLoaders:
 
     @pytest.mark.parametrize("rows, cols", [
         (4097, 4096), (2 ** 24 + 1, 1), (1, 2 ** 24 + 1), (10 ** 5, 10 ** 5),
-        (10 ** 9, 0)])
+        (10 ** 9, 0), (2 ** 24, 0), (2 ** 24, 1)])
     def test_declared_size_over_the_cap_is_refused_before_allocating(
             self, rows, cols):
         # Without a shape nothing bounds the declared size but the cap on
-        # cells; an empty row still costs a slot of the grid.
+        # cells; a row costs a list and a tuple, even when it is empty.
         tracemalloc.start()
         try:
             with pytest.raises(RelationCapExceeded):
@@ -145,6 +146,16 @@ class TestLoaders:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    @pytest.mark.parametrize("rows, cols", [(1, 0), (3, 2), (2, 7), (1, 22)])
+    def test_each_row_counts_its_own_cost(self, rows, cols, monkeypatch):
+        # The cap is read from the module at each call: a relation whose
+        # cells and rows come to exactly the cap loads, one more row does not.
+        monkeypatch.setattr(fuzzy, "MAX_CELLS", rows * (cols + fuzzy._ROW_CELLS))
+        doc = {"rows": rows, "cols": cols, "entries": []}
+        assert relation_from_json(doc) == FuzzyRelation(rows, cols)
+        with pytest.raises(RelationCapExceeded):
+            relation_from_json(dict(doc, rows=rows + 1))
 
     @pytest.mark.parametrize("value", [HUGE, -HUGE], ids=["huge", "-huge"])
     def test_integer_too_large_for_a_float_is_a_range_error(self, value):
@@ -206,8 +217,27 @@ class TestWordBound:
     def test_cap_boundary(self, symbols, n, cap, refused, monkeypatch):
         # The cap is read from the module at each call.
         monkeypatch.setattr(automata, "DEFAULT_WORD_CAP", cap)
+        self.assert_verdict(symbols, 1, n, refused)
+
+    @pytest.mark.parametrize("symbols,states,n,cells,refused", [
+        # The longest words' level holds a degree per state of each word:
+        # 2^18 words of 64 states are the real cap of 2^24 degrees.
+        (2, 64, 18, 2 ** 24, False), (2, 65, 18, 2 ** 24, True),
+        (2, 200, 15, 2 ** 24, False), (2, 200, 18, 2 ** 24, True),
+        (3, 5, 2, 45, False), (3, 5, 2, 44, True),
+        # With fewer than two symbols each level holds one word.
+        (1, 6, 999, 6, False), (1, 7, 999, 6, True),
+        (0, 6, 0, 6, False), (0, 7, 0, 6, True)])
+    def test_level_cap_counts_the_states(self, symbols, states, n, cells,
+                                         refused, monkeypatch):
+        monkeypatch.setattr(automata, "MAX_CELLS", cells)
+        self.assert_verdict(symbols, states, n, refused)
+
+    @staticmethod
+    def assert_verdict(symbols, states, n, refused):
         alphabet = [f"s{i}" for i in range(symbols)]
-        automaton = FuzzyAutomaton.build(alphabet, ["q"], {}, {}, [])
+        automaton = FuzzyAutomaton.build(
+            alphabet, [f"q{i}" for i in range(states)], {}, {}, [])
         try:
             require_word_bound(automaton, n)
         except WordCapExceeded:

@@ -662,7 +662,7 @@ class TestLang:
         assert run(["lang", "--left", left, "--max-len", "-1"]) == 1
         assert "word-length bound must be >= 0" in capsys.readouterr().err
 
-    def test_word_cap_exit_code(self, tmp_path):
+    def test_word_cap_exit_code(self, tmp_path, capsys):
         doc = {
             "alphabet": ["a", "b"],
             "states": ["q"],
@@ -676,6 +676,12 @@ class TestLang:
         path = tmp_path / "two.json"
         path.write_text(json.dumps(doc))
         assert run(["lang", "--left", str(path), "--max-len", "25"]) == 3
+        # 2^18 words are under the word cap, but not with a degree for each
+        # of 200 states.
+        doc["states"] += [f"p{i}" for i in range(199)]
+        path.write_text(json.dumps(doc))
+        assert run(["lang", "--left", str(path), "--max-len", "18"]) == 3
+        assert "over the cap of 16777216" in capsys.readouterr().err
 
 
 class TestFormula:

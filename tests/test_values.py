@@ -199,11 +199,12 @@ def test_import_loads_no_dataclasses(tmp_path):
     argv = ["dbbisim", "--left", str(left), "--right", str(right), "--depth", "2",
             "--output", str(tmp_path / "out.json")]
     # Nor does an import compile a round kernel (``_KERNELS`` holds those
-    # compiled), so the commands that run none pay nothing for them.
+    # compiled), so the commands that run none pay nothing for them. The
+    # star import loads every submodule of the lazy package.
     loaded = (f"print([m for m in {heavy!r} if m in sys.modules],"
               " len(sys.modules['fuzzbound.dbsim']._KERNELS))\n")
     code = ("import sys\n"
-            "import fuzzbound\n"
+            "from fuzzbound import *\n"
             + loaded +
             "import fuzzbound.cli\n"
             + loaded +
