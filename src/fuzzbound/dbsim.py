@@ -12,27 +12,25 @@ yields the chain until it is stable; :func:`_run` cuts it by the stop rules
 driver of the greatest plain fuzzy (bi)simulation. A bisimulation is a
 simulation whose inverse is one too, so the simulation code also serves the
 mirrored side, on the swapped automata and the inverse relations: the round
-kernel :func:`_pass` with the inputs of :func:`_views`, the per-row norm
-values :func:`_row_norms`, and the conditions the definition-level checkers
-test; a plain (bi)simulation is checked as the constant chain (rel, rel).
-The round kernel, ``_pass`` and ``_row_norms``, is one source text:
-:func:`_kernel` compiles it on first use per built-in structure with its
-t-norm and residuum inlined, and once as it stands for every other pair,
-which it then calls.
+kernel :func:`_pass` with the inputs of :func:`_views`, and the conditions
+the definition-level checkers test; a plain (bi)simulation is checked as the
+constant chain (rel, rel). The same pass computes each component's norm, on
+the initial sets as one more symbol (:func:`_start`). The kernel is one
+source text: :func:`_kernel` compiles it on first use per built-in structure
+with its t-norm and residuum inlined, and once as it stands for every other
+pair, which it then calls.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from functools import reduce
 from itertools import compress, count
-from operator import index, ne, or_
-from typing import Optional, Sequence
+from operator import index, ne
+from typing import Callable, Optional, Sequence
 
 from .automata import (
     FuzzyAutomaton,
-    SuccPredIndex,
     bisim_norm,
     build_index,
     require_same_alphabet,
@@ -61,6 +59,13 @@ _MODE_ALIASES = {
     "bisim": MODE_BISIM,
     "bisimulation": MODE_BISIM,
 }
+
+
+def _as_int(n) -> int:
+    # A depth, cap or component index is an int, checked before its range.
+    if type(n) is bool:  # index() takes True as 1
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return index(n)  # TypeError for a float, even 2.0
 
 
 def canonical_mode(mode: str) -> str:
@@ -96,6 +101,7 @@ class DbSimResult(Frozen):
 
     def component(self, n: int) -> FuzzyRelation:
         """The component phi_n; past a fixpoint all components coincide."""
+        n = _as_int(n)
         if n < 0:
             raise ValueError("component index must be >= 0")
         if not self.traced:
@@ -139,25 +145,35 @@ def _init_grid(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
     return [rows[ty][:] for ty in tb]
 
 
-def _views(st: Structure, left_index: SuccPredIndex, right_index: SuccPredIndex,
-           n_right: int) -> tuple[list, list, list]:
-    # One direction's (caps, floors, opens) for _pass, per symbol: per state
-    # of the right automaton, each (y', d') as (cap, y', d'), largest cap
-    # first, cap = d' (x) 1.0 (which need not be d'); per state of the left
-    # one, each (x, d) as (x, d, floor), floor = d => 0.0; per x' of the
-    # right, the open mask, at first every y with a predecessor.
+def _views(st: Structure, pred: Sequence, succ: Sequence) -> tuple[list, list, list]:
+    # One direction's (caps, floors, opens) for _pass, per symbol, from the
+    # left automaton's pred and the right one's succ (see build_index): per
+    # state of the right automaton, each (y', d') as (cap, y', d'), largest
+    # cap first, cap = d' (x) 1.0 (which need not be d'); per state of the
+    # left one, each (x, d) as (x, d, floor), floor = d => 0.0; per x' of
+    # the right, the open mask, at first every y with a predecessor.
     tnorm, residuum = st.tnorm, st.residuum
     caps = [[sorted(((tnorm(d, 1.0), y, d) for y, d in succ_x), reverse=True)
-             for succ_x in succ_s] for succ_s in right_index.succ]
+             for succ_x in succ_s] for succ_s in succ]
     floors = [[[(x, d, residuum(d, 0.0)) for x, d in pred_y] for pred_y in pred_s]
-              for pred_s in left_index.pred]
-    opens = [[sum(1 << y for y, pred_y in enumerate(pred_s) if pred_y)] * n_right
-             for pred_s in floors]
+              for pred_s in pred]
+    opens = [[sum(1 << y for y, pred_y in enumerate(pred_s) if pred_y)] * len(succ_s)
+             for pred_s, succ_s in zip(floors, caps)]
     return caps, floors, opens
 
 
-# The round kernel, written once: the text of _row_norms and _pass, which
-# :func:`_kernel` compiles per structure. An op is applied only on a line
+def _start(st: Structure, left: Sequence[float],
+           right: Sequence[float]) -> tuple[list, list, list]:
+    # The _views of the norm's pass: the initial sets as one symbol more,
+    # which leads from a fresh start state 0 to each state x whose initial
+    # degree d is positive, with degree d.
+    pred = [[(0, d)] if d > 0.0 else [] for d in left]
+    succ = [[(x, d) for x, d in enumerate(right) if d > 0.0]]
+    return _views(st, (pred,), (succ,))
+
+
+# The round kernel, written once: the text of _pass, which :func:`_kernel`
+# compiles per structure. An op is applied only on a line
 # ``target = tnorm(a, b)`` or ``target = residuum(a, b)``, with plain names
 # or literals as operands. Compiled as it stands, the text calls the ops it
 # binds from st: the generic kernel. For a built-in pair, each such line
@@ -165,40 +181,6 @@ def _views(st: Structure, left_index: SuccPredIndex, right_index: SuccPredIndex,
 # makes the float operations of the op's function in the same order, and
 # the binding lines go.
 _KERNEL_TEXT = '''\
-def _row_norms(st: Structure, rows: Sequence[Sequence[float]],
-               init_rows: Sequence[float], init_cols: Sequence[float],
-               moved: Optional[Sequence]) -> list[tuple[int, float]]:
-    """Per row x whose selector in ``moved`` is true (every row if None) of
-    the relation held row by row: the graded inclusion of x in the row
-    side's initial set, sigma(x) => sup_x' sigma'(x') (x) row[x']; the
-    simulation norm is the meet of 1.0 and these values. By (L1) of
-    :func:`_pass` the sup stops at the first cap s (x) 1.0, largest first,
-    that cannot raise it."""
-    tnorm, residuum = st.tnorm, st.residuum
-    support = []
-    for j, s in enumerate(init_cols):
-        if s > 0.0:
-            cap = tnorm(s, 1.0)
-            support.append((cap, j, s))
-    support.sort(reverse=True)
-    which = range(len(rows)) if moved is None else compress(range(len(rows)), moved)
-    out = []
-    for x in which:
-        row = rows[x]
-        pulled = 0.0
-        for cap, j, s in support:
-            if cap <= pulled:
-                break
-            cell = row[j]
-            v = tnorm(s, cell)
-            if v > pulled:
-                pulled = v
-        start = init_rows[x]
-        norm = residuum(start, pulled)
-        out.append((x, norm))
-    return out
-
-
 def _pass(st: Structure, grid: list[list[float]],
           prev: Sequence[Sequence[float]], caps: list, floors: list, opens: list,
           marks: Optional[list[int]]) -> float:
@@ -232,6 +214,12 @@ def _pass(st: Structure, grid: list[list[float]],
     (symbol, x', y, x), so the same lowerings happen in the same order.
     Finding the pairs costs O(m_b) int ORs (:func:`_revisits`), on the masks
     of one C-level O(n_a n_b) diff (:func:`_diff`).
+
+    The norm is this pass on the 1x1 grid phi(iota_a, iota_b) of fresh start
+    states, with :func:`_start`'s views: it lowers the cell to each
+    sigma_a(x) => sup_x' sigma_b(x') (x) prev[x][x']. The cell persists
+    across rounds, a running meet, which is the component's norm because
+    these values only fall with prev (the ops are monotone).
 
     Evaluations that cannot lower a cell are skipped by three laws the
     built-ins keep in floats, (L1) d' (x) p <= d' (x) 1.0, (L2)
@@ -287,14 +275,13 @@ _BIND = "    tnorm, residuum = st.tnorm, st.residuum\n"
 _OP_LINE = r"(?m)^( +)(\w+) = (tnorm|residuum)\(([\w.]+), ([\w.]+)\)$"
 _OPERAND = r"\b[xyv]\b"
 _KINDS = {ops: kind for kind, ops in _BUILTINS.items()}  # built-in pair -> name
-# The compiled kernels, (pass, row_norms), by built-in structure name or
-# "generic".
-_KERNELS: dict[str, tuple] = {}
+# The compiled kernels, _pass per built-in structure name or "generic".
+_KERNELS: dict[str, Callable] = {}
 
 
-def _kernel(st: Structure) -> tuple:
-    """The kernel (pass, row_norms) that st runs: the kernel text with the
-    ops inlined if they are a built-in pair, else the generic kernel, which
+def _kernel(st: Structure) -> Callable:
+    """The kernel ``_pass`` that st runs: the kernel text with the ops
+    inlined if they are a built-in pair, else the generic kernel, which
     calls them (a custom pair, checked wrappers, or any other functions).
     Each is compiled on first use, under a file name that names it."""
     kind = _KINDS.get((st.tnorm, st.residuum), "generic")
@@ -315,7 +302,7 @@ def _kernel(st: Structure) -> tuple:
         scope: dict = {}
         code = compile(text, f"<fuzzbound.dbsim kernel, {kind}>", "exec")
         exec(code, globals(), scope)
-        kernel = _KERNELS[kind] = scope["_pass"], scope["_row_norms"]
+        kernel = _KERNELS[kind] = scope["_pass"]
     return kernel
 
 
@@ -382,31 +369,28 @@ def _rounds(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, bisim: bool):
     # made it (None for phi_0). Ends after the first round that lowers
     # nothing, so the last item is the fixpoint.
     index_a, index_b = build_index(a), build_index(b)
-    forward = _views(st, index_a, index_b, b.num_states)
-    mirror = _views(st, index_b, index_a, a.num_states) if bisim else None
     ia, ib = a.initial.degrees, b.initial.degrees
-    run_pass, row_norms = _kernel(st)
+    forward, forward_norm = _views(st, index_a.pred, index_b.succ), _start(st, ia, ib)
+    if bisim:
+        mirror, mirror_norm = _views(st, index_b.pred, index_a.succ), _start(st, ib, ia)
+    run_pass = _kernel(st)
     grid = _init_grid(st, a, b, bisim)
     # The working grid is x'-major; relations are x-major.
     degrees = tuple(zip(*grid))
-    # The per-row values whose meet is the norm: the simulation side per x
-    # of the component, the bisimulation's mirrored side per x' of the
-    # x'-major working grid. A round recomputes the rows it changed.
-    sim_rows: dict[int, float] = {}
-    mirror_rows: dict[int, float] = {}
+    # phi(iota_a, iota_b), the norm (see _pass), lowered by both directions.
+    norm = [[1.0]]
     # The cells the last round changed; None: every cell may have. marks
     # holds the _diff masks per x' row of the working grid, read by the
-    # forward pass and the mirror norm. changed selects the rows x of the
-    # component that moved, for the sim norm; for a bisimulation it is their
-    # _diff masks, which the mirrored pass reads.
+    # forward calls; for a bisimulation, changed holds them per row x of the
+    # component, read by the mirrored calls.
     marks: Optional[list[int]] = None
-    changed: Optional[Sequence] = None
+    changed: Optional[list[int]] = None
     drop = None
     while True:
-        sim_rows.update(row_norms(st, degrees, ia, ib, changed))
+        run_pass(st, norm, degrees, *forward_norm, marks)
         if bisim:
-            mirror_rows.update(row_norms(st, grid, ib, ia, marks))
-        yield degrees, min(1.0, *sim_rows.values(), *mirror_rows.values()), drop
+            run_pass(st, norm, grid, *mirror_norm, changed)
+        yield degrees, norm[0][0], drop
         prev = degrees
         prev_t = list(map(list, grid))  # the yielded component, x'-major
         drop = run_pass(st, grid, prev, *forward, marks)
@@ -418,15 +402,14 @@ def _rounds(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, bisim: bool):
             return
         degrees = tuple(map(tuple, rows)) if bisim else tuple(zip(*grid))
         marks = _diff(grid, prev_t)
-        changed = _diff(degrees, prev) if bisim else _selectors(reduce(or_, marks))
+        if bisim:
+            changed = _diff(degrees, prev)
         rows = prev_t = None  # freed before the next round, for peak memory
 
 
 def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
          max_steps: int, trace: bool, tol: Optional[float]) -> DbSimResult:
-    if type(max_steps) is bool:  # index() takes True as 1
-        raise TypeError("'bool' object cannot be interpreted as an integer")
-    max_steps = index(max_steps)  # TypeError for a float, even 2.0
+    max_steps = _as_int(max_steps)
     if max_steps < 0:
         raise ValueError("iteration bound must be >= 0")
     require_same_alphabet(a, b)
@@ -504,6 +487,7 @@ def greatest_fixpoint(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
     number >= 0. With ``trace``, the cap on traced degrees of
     :func:`compute_dbsim` applies to ``max_iters`` + 1 components.
     """
+    max_iters = _as_int(max_iters)
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if type(tol) is bool or not 0.0 <= tol < math.inf:  # NaN fails both comparisons

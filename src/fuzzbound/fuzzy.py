@@ -16,7 +16,9 @@ from .lattice import Frozen, Structure, validate_degree
 
 # The most degrees a loaded relation, or the components of a traced run, may
 # hold: 2**24 cells are 128 MiB of tuple slots alone, before any float they
-# point to (a loaded relation is built in lists first, as much again). A
+# point to (a loaded relation is built in lists first, as much again). An
+# untraced run peaked at about 80 B per n_a*n_b cell at n = 1000, so one at
+# the cap would near 1.3 GB (extrapolated; no run that size was made). A
 # loaded relation's row counts as _ROW_CELLS cells more: the list and the
 # tuple that hold it take about 100 bytes, even when it is empty.
 MAX_CELLS = 2 ** 24

@@ -223,7 +223,9 @@ def custom_structure(tnorm: BinaryOp, residuum: BinaryOp,
     t-norm is expected to commute exactly, (C) x (x) y == y (x) x, as the
     norms pass its operands in either order. Only the results are checked,
     at the call. A computation calls ``residuum(d, 0.0)`` once per
-    transition of degree d when it starts. The pair runs the round kernel
+    transition of degree d, and once per positive initial degree d, when it
+    starts. The kernel keeps the norm as a running meet over the rounds,
+    exact only for monotone ops, as (L3) is. The pair runs the round kernel
     that the built-ins run with their ops inlined, through calls to it.
     """
     return Structure("custom", tnorm, residuum, eps_cmp)

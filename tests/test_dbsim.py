@@ -374,18 +374,25 @@ class TestGreatestFixpoint:
         assert exact.status == "fixpoint" and exact.fixpoint_at == 1
 
 
+def call_kind(grid):
+    """Which call of the kernel writes grid: "norm" for the 1x1 grid of the
+    start states, phi(iota_a, iota_b), "round" for a component's grid, which
+    is never 1x1 on a pair with two or more states on a side."""
+    return "norm" if len(grid) == 1 == len(grid[0]) else "round"
+
+
 def counted_passes(monkeypatch):
     """Wrap the pass of every kernel dbsim._kernel picks; return the list
-    that gets an item per call."""
+    that gets the call_kind of each call."""
     calls = []
 
     def counted_kernel(st):
-        run_pass, row_norms = KERNEL(st)
+        run_pass = KERNEL(st)
 
-        def counted(*args):
-            calls.append(None)
-            return run_pass(*args)
-        return counted, row_norms
+        def counted(st, grid, *args):
+            calls.append(call_kind(grid))
+            return run_pass(st, grid, *args)
+        return counted
 
     monkeypatch.setattr(dbsim, "_kernel", counted_kernel)
     return calls
@@ -395,7 +402,8 @@ class TestStopRules:
     # Where a run cuts the chain: tol is tested before the iteration bound,
     # the bound stops before the next round, and a round that lowers nothing
     # makes the component before it the fixpoint. The kernel calls show that
-    # no round runs past the cut, which the outputs alone would not.
+    # no round runs past the cut, which the outputs alone would not, and
+    # that each component's norm takes one call per direction.
 
     @pytest.mark.parametrize("max_iters,tol,expected,passes", [
         (1, 0.15, ("tol", None, 2), 1),
@@ -411,7 +419,8 @@ class TestStopRules:
         result = greatest_fixpoint(structure("godel"), a, b, "sim",
                                    max_iters=max_iters, tol=tol)
         assert (result.status, result.fixpoint_at, len(result.norms)) == expected
-        assert len(calls) == passes
+        assert calls.count("round") == passes
+        assert calls.count("norm") == len(result.norms)
 
     def test_depth_at_and_past_the_fixpoint(self):
         a, b = chain_pair()
@@ -437,11 +446,12 @@ class TestStopRules:
         a, b = chain_pair()
         st = structure(name)
         calls = counted_passes(monkeypatch)
-        for compute, passes in ((compute_dbsim, sim_passes),
-                                (compute_dbbisim, bisim_passes)):
+        for compute, passes, directions in ((compute_dbsim, sim_passes, 1),
+                                            (compute_dbbisim, bisim_passes, 2)):
             calls.clear()
-            compute(st, a, b, k)
-            assert len(calls) == passes
+            result = compute(st, a, b, k)
+            assert calls.count("round") == passes
+            assert calls.count("norm") == directions * len(result.norms)
 
 
 class TestIntegerBounds:
@@ -461,6 +471,24 @@ class TestIntegerBounds:
         a, b = chain_pair()
         with pytest.raises(TypeError):
             greatest_fixpoint(structure("product"), a, b, "sim", max_iters=bound)
+
+    # The type is checked before the range: a float cap below 1 is a float
+    # all the same, and raises as 1.5 does.
+    @pytest.mark.parametrize("bound", [0.5, -0.0, 0.0])
+    def test_float_max_iters_below_one_is_refused_as_a_float(self, bound):
+        a, b = chain_pair()
+        with pytest.raises(TypeError):
+            greatest_fixpoint(structure("product"), a, b, "sim", max_iters=bound)
+
+    # A component index past the fixpoint returns the fixpoint, so a float
+    # or bool index would return a component where it should raise.
+    @pytest.mark.parametrize("n", [1.5, 2.0, -0.5, True, False])
+    def test_component_index_is_an_int(self, n):
+        a, b = chain_pair()
+        result = compute_dbsim(structure("godel"), a, b, 30, trace=True)
+        assert result.fixpoint_at == 1
+        with pytest.raises(TypeError):
+            result.component(n)
 
     # A bool is an int to operator.index: True would run one round.
     @pytest.mark.parametrize("bound", [True, False])
@@ -517,18 +545,18 @@ class TestPrefixNorm:
 
     def test_norm_agrees_with_result_norms(self, st):
         # prefix_norm is computed by sim_norm/bisim_norm, independently of
-        # the per-round norm the computation records.
+        # the per-round norm the computation records, and the two are the
+        # same floats (see test_each_norm_is_the_referee_norm).
         pairs = [chain_pair()] + [random_pair(seed, num_states=seed % 4 + 1)
                                   for seed in range(6)]
         for a, b in pairs:
             for mode, compute in (("sim", compute_dbsim),
                                   ("bisim", compute_dbbisim)):
                 result = compute(st, a, b, 6, trace=True)
-                assert prefix_norm(st, result.prefix, a, b, mode) == pytest.approx(
-                    min(result.norms), abs=1e-12)
+                assert prefix_norm(st, result.prefix, a, b, mode) == min(result.norms)
                 per_component = [prefix_norm(st, [rel], a, b, mode)
                                  for rel in result.prefix]
-                assert per_component == pytest.approx(list(result.norms), abs=1e-12)
+                assert per_component == list(result.norms)
 
     @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (1, 2)])
     @pytest.mark.parametrize("mode", ["sim", "bisim"])
@@ -892,7 +920,7 @@ def logged_pass(st, grid, prev, caps, floors, *state):
     walked = [[_Walked(pred_y, (s, y), log) for y, pred_y in enumerate(pred_s)]
               for s, pred_s in enumerate(floors)]
     rows = [_Read(row, xp, log) for xp, row in enumerate(grid)]
-    drop = KERNEL(st)[0](st, rows, prev, caps, walked, *state)
+    drop = KERNEL(st)(st, rows, prev, caps, walked, *state)
     for row, read in zip(grid, rows):
         row[:] = read
     # A y without predecessors is never visited, not even to find no cell.
@@ -954,16 +982,18 @@ class TestRevisitPass:
 
     @staticmethod
     def logged_kernel(monkeypatch):
-        """Run every pass through logged_pass; return the list its visits
-        go to."""
+        """Run every round pass through logged_pass, and every norm call as
+        it stands; return the list the round passes' visits go to."""
         visits = []
 
         def counted(st, grid, prev, caps, floors, *state):
+            if call_kind(grid) == "norm":
+                return KERNEL(st)(st, grid, prev, caps, floors, *state)
             drop, made = logged_pass(st, grid, prev, caps, floors, *state)
             visits.extend(made)
             return drop
 
-        monkeypatch.setattr(dbsim, "_kernel", lambda st: (counted, KERNEL(st)[1]))
+        monkeypatch.setattr(dbsim, "_kernel", lambda st: counted)
         return visits
 
     # A Lukasiewicz pair settled by the floor 5e-324 => 0.0 = 1.0, whose
@@ -978,7 +1008,7 @@ class TestRevisitPass:
         a, b, prev, changed, grid, closed = inputs
         st = structure(name)
         index_a, index_b = build_index(a), build_index(b)
-        caps, floors, opened = dbsim._views(st, index_a, index_b, b.num_states)
+        caps, floors, opened = dbsim._views(st, index_a.pred, index_b.succ)
         for s, xp, y in closed:
             opened[s][xp] &= ~(1 << y)
         marks = [0] * b.num_states
@@ -1062,10 +1092,11 @@ KERNEL_DEGREES = EDGE_DEGREES + (2.0 ** -1022, 0.7, 0.25)
 
 
 @strat.composite
-def kernel_pairs(draw):
-    """Pairs of 1-12 states over 1-3 symbols with sparse transitions, every
-    degree one of KERNEL_DEGREES (or 0.0, for initial and terminal ones)."""
-    symbols = draw(strat.integers(1, 3))
+def kernel_pairs(draw, min_symbols=1):
+    """Pairs of 1-12 states over min_symbols-3 symbols with sparse
+    transitions, every degree one of KERNEL_DEGREES (or 0.0, for initial and
+    terminal ones)."""
+    symbols = draw(strat.integers(min_symbols, 3))
     degree = strat.sampled_from(KERNEL_DEGREES)
     end = strat.sampled_from((0.0,) + KERNEL_DEGREES)
 
@@ -1111,14 +1142,13 @@ class TestCompiledKernels:
 
     @pytest.mark.parametrize("name", STRUCTURE_NAMES)
     def test_builtin_kernels_call_no_op(self, name):
-        for fn in KERNEL(structure(name)):
-            code = fn.__code__
-            assert {"st", "tnorm", "residuum"}.isdisjoint(code.co_names)
-            assert {"tnorm", "residuum"}.isdisjoint(code.co_varnames)
-            assert name in code.co_filename
-        for fn in KERNEL(routed(structure(name))):
-            assert "tnorm" in fn.__code__.co_varnames
-            assert "generic" in fn.__code__.co_filename
+        code = KERNEL(structure(name)).__code__
+        assert {"st", "tnorm", "residuum"}.isdisjoint(code.co_names)
+        assert {"tnorm", "residuum"}.isdisjoint(code.co_varnames)
+        assert name in code.co_filename
+        code = KERNEL(routed(structure(name))).__code__
+        assert "tnorm" in code.co_varnames
+        assert "generic" in code.co_filename
 
     def test_the_cache_holds_the_builtin_pairs_only(self):
         a, b = chain_pair()
@@ -1139,6 +1169,39 @@ class TestCompiledKernels:
             compute_dbsim(st, a, b, 1)
         assert any(str(entry.path) == "<fuzzbound.dbsim kernel, generic>"
                    for entry in info.traceback)
+
+
+class TestNormReferee:
+    # The kernel computes each component's norm as the running meet of the
+    # start states' cell; sim_norm and bisim_norm (through prefix_norm)
+    # compute it from the definition. The two are the same floats, compared
+    # by repr so that the sign of a zero counts too.
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pair=kernel_pairs(min_symbols=0), name=strat.sampled_from(STRUCTURE_NAMES),
+           called=strat.booleans())
+    # No symbol; an empty initial support on the left, then on the right;
+    # subnormal initial degrees against a subnormal transition.
+    @example(pair=(edge_automaton((), (5e-324, 0.0), (1.0, 0.5)),
+                   edge_automaton((), (1.0,), (0.3,))), name="product", called=False)
+    @example(pair=(edge_automaton((((0, 1, 0.5),),), (0.0, 0.0), (1.0, 0.5)),
+                   edge_automaton((((0, 0, 1.0),),), (1.0,), (0.3,))),
+             name="lukasiewicz", called=True)
+    @example(pair=(edge_automaton((((0, 1, 0.5),),), (1.0, 0.7), (1.0, 0.5)),
+                   edge_automaton((((0, 0, 1.0),),), (0.0,), (0.3,))),
+             name="godel", called=False)
+    @example(pair=(edge_automaton((((0, 1, 5e-324),),), (5e-324, 1.0), (1.0, 0.5)),
+                   edge_automaton((((0, 1, 0.5),),), (2.0 ** -1022, 5e-324), (0.3, 1.0))),
+             name="product", called=True)
+    def test_each_norm_is_the_referee_norm(self, pair, name, called):
+        a, b = pair
+        st = routed(structure(name)) if called else structure(name)
+        for mode, compute in (("sim", compute_dbsim), ("bisim", compute_dbbisim)):
+            for result in (compute(st, a, b, 6, trace=True),
+                           greatest_fixpoint(st, a, b, mode, max_iters=100,
+                                             tol=0.0, trace=True)):
+                expected = [prefix_norm(st, [rel], a, b, mode) for rel in result.prefix]
+                assert list(map(repr, result.norms)) == list(map(repr, expected))
 
 
 def differing(new, old):

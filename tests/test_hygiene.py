@@ -17,9 +17,9 @@ from fuzzbound import cli, dbsim
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fuzzbound"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
-# The kernel text's functions, which dbsim._kernel fetches by name from the
-# namespace it compiles them in.
-KERNEL_EXPORTS = ["_row_norms", "_pass"]
+# The kernel text's one function, which dbsim._kernel fetches by name from
+# the namespace it compiles it in.
+KERNEL_EXPORTS = ["_pass"]
 
 
 def _annotations(tree):
