@@ -26,7 +26,7 @@ from .fuzzy import (
     inverse,
     subset_degree,
 )
-from .lattice import Frozen, Structure, validate_degree
+from .lattice import Frozen, Structure, as_int, validate_degree
 
 DEFAULT_WORD_CAP = 10**6
 
@@ -243,6 +243,7 @@ def require_word_bound(automaton: FuzzyAutomaton, n: int) -> None:
     up to n letters; or whose widest level, k^n words (one word for k < 2)
     with a degree per state each, would hold more than ``MAX_CELLS``
     degrees."""
+    n = as_int(n)
     if n < 0:
         raise ValueError("word-length bound must be >= 0")
     cap = DEFAULT_WORD_CAP

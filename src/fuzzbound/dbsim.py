@@ -15,7 +15,7 @@ mirrored side, on the swapped automata and the inverse relations: the round
 kernel :func:`_pass` with the inputs of :func:`_views`, and the conditions
 the definition-level checkers test; a plain (bi)simulation is checked as the
 constant chain (rel, rel). The same pass computes each component's norm, on
-the initial sets as one more symbol (:func:`_start`). The kernel is one
+the initial sets as one more symbol (:func:`_side`). The kernel is one
 source text: :func:`_kernel` compiles it on first use per built-in structure
 with its t-norm and residuum inlined, and once as it stands for every other
 pair, which it then calls.
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from itertools import compress, count
-from operator import index, ne
+from operator import ne
 from typing import Callable, Optional, Sequence
 
 from .automata import (
@@ -48,7 +48,7 @@ from .fuzzy import (
     relation_to_json,
     set_leq,
 )
-from .lattice import _BUILTINS, _OP_TEXT, Frozen, Structure
+from .lattice import _BUILTINS, _OP_TEXT, Frozen, Structure, as_int
 
 MODE_SIM = "simulation"
 MODE_BISIM = "bisimulation"
@@ -59,13 +59,6 @@ _MODE_ALIASES = {
     "bisim": MODE_BISIM,
     "bisimulation": MODE_BISIM,
 }
-
-
-def _as_int(n) -> int:
-    # A depth, cap or component index is an int, checked before its range.
-    if type(n) is bool:  # index() takes True as 1
-        raise TypeError("'bool' object cannot be interpreted as an integer")
-    return index(n)  # TypeError for a float, even 2.0
 
 
 def canonical_mode(mode: str) -> str:
@@ -101,7 +94,7 @@ class DbSimResult(Frozen):
 
     def component(self, n: int) -> FuzzyRelation:
         """The component phi_n; past a fixpoint all components coincide."""
-        n = _as_int(n)
+        n = as_int(n)
         if n < 0:
             raise ValueError("component index must be >= 0")
         if not self.traced:
@@ -162,14 +155,15 @@ def _views(st: Structure, pred: Sequence, succ: Sequence) -> tuple[list, list, l
     return caps, floors, opens
 
 
-def _start(st: Structure, left: Sequence[float],
-           right: Sequence[float]) -> tuple[list, list, list]:
-    # The _views of the norm's pass: the initial sets as one symbol more,
-    # which leads from a fresh start state 0 to each state x whose initial
-    # degree d is positive, with degree d.
-    pred = [[(0, d)] if d > 0.0 else [] for d in left]
-    succ = [[(x, d) for x, d in enumerate(right) if d > 0.0]]
-    return _views(st, (pred,), (succ,))
+def _side(st: Structure, left: tuple, right: tuple) -> tuple[tuple, tuple]:
+    # One side of the conditions, from left to right, each automaton given as
+    # (build_index's result, initial degrees): the _views of its round pass,
+    # and of its norm pass, whose one symbol leads from a fresh start state 0
+    # to each state x of positive initial degree d, with degree d.
+    (index_l, initial_l), (index_r, initial_r) = left, right
+    pred = [[(0, d)] if d > 0.0 else [] for d in initial_l]
+    succ = [[(x, d) for x, d in enumerate(initial_r) if d > 0.0]]
+    return _views(st, index_l.pred, index_r.succ), _views(st, (pred,), (succ,))
 
 
 # The round kernel, written once: the text of _pass, which :func:`_kernel`
@@ -216,7 +210,7 @@ def _pass(st: Structure, grid: list[list[float]],
     of one C-level O(n_a n_b) diff (:func:`_diff`).
 
     The norm is this pass on the 1x1 grid phi(iota_a, iota_b) of fresh start
-    states, with :func:`_start`'s views: it lowers the cell to each
+    states, with the norm views of :func:`_side`: it lowers the cell to each
     sigma_a(x) => sup_x' sigma_b(x') (x) prev[x][x']. The cell persists
     across rounds, a running meet, which is the component's norm because
     these values only fall with prev (the ops are monotone).
@@ -368,48 +362,42 @@ def _rounds(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, bisim: bool):
     # degrees x-major, drop the largest single lowering of the round that
     # made it (None for phi_0). Ends after the first round that lowers
     # nothing, so the last item is the fixpoint.
-    index_a, index_b = build_index(a), build_index(b)
-    ia, ib = a.initial.degrees, b.initial.degrees
-    forward, forward_norm = _views(st, index_a.pred, index_b.succ), _start(st, ia, ib)
-    if bisim:
-        mirror, mirror_norm = _views(st, index_b.pred, index_a.succ), _start(st, ib, ia)
+    ends = [(build_index(a), a.initial.degrees), (build_index(b), b.initial.degrees)]
+    # The sides: a to b, and for a bisimulation b to a on the inverse relations.
+    sides = [_side(st, *ends)] + ([_side(st, *ends[::-1])] if bisim else [])
     run_pass = _kernel(st)
     grid = _init_grid(st, a, b, bisim)
-    # The working grid is x'-major; relations are x-major.
-    degrees = tuple(zip(*grid))
-    # phi(iota_a, iota_b), the norm (see _pass), lowered by both directions.
-    norm = [[1.0]]
-    # The cells the last round changed; None: every cell may have. marks
-    # holds the _diff masks per x' row of the working grid, read by the
-    # forward calls; for a bisimulation, changed holds them per row x of the
-    # component, read by the mirrored calls.
-    marks: Optional[list[int]] = None
-    changed: Optional[list[int]] = None
+    # The component x-major (tuples, yielded) and x'-major (lists): side s
+    # reads orientation s and writes the other one.
+    phi = (tuple(zip(*grid)), grid)
+    norm = [[1.0]]  # phi(iota_a, iota_b), the norm (see _pass), lowered by each side
+    # Per side, the _diff masks of the cells the last round changed, per
+    # column of the orientation it reads; None: every cell may have.
+    marks: list[Optional[list[int]]] = [None] * len(sides)
     drop = None
     while True:
-        run_pass(st, norm, degrees, *forward_norm, marks)
-        if bisim:
-            run_pass(st, norm, grid, *mirror_norm, changed)
-        yield degrees, norm[0][0], drop
-        prev = degrees
-        prev_t = list(map(list, grid))  # the yielded component, x'-major
-        drop = run_pass(st, grid, prev, *forward, marks)
-        if bisim:
-            rows = _transpose(grid)
-            drop = max(drop, run_pass(st, rows, prev_t, *mirror, changed))
-            grid = _transpose(rows)
+        for (_, norm_views), prev, marked in zip(sides, phi, marks):
+            run_pass(st, norm, prev, *norm_views, marked)
+        yield phi[0], norm[0][0], drop
+        work = list(map(list, phi[1]))
+        drop = 0.0
+        for s, ((views, _), prev, marked) in enumerate(zip(sides, phi, marks)):
+            if s:  # the mirrored side writes x-major
+                work = _transpose(work)
+            drop = max(drop, run_pass(st, work, prev, *views, marked))
         if drop == 0.0:
             return
-        degrees = tuple(map(tuple, rows)) if bisim else tuple(zip(*grid))
-        marks = _diff(grid, prev_t)
         if bisim:
-            changed = _diff(degrees, prev)
-        rows = prev_t = None  # freed before the next round, for peak memory
+            work = _transpose(work)
+        new = (tuple(zip(*work)), work)
+        # A column of one orientation is a row of the other.
+        marks = [_diff(new[1 - s], phi[1 - s]) for s in range(len(sides))]
+        phi = new
 
 
 def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
          max_steps: int, trace: bool, tol: Optional[float]) -> DbSimResult:
-    max_steps = _as_int(max_steps)
+    max_steps = as_int(max_steps)
     if max_steps < 0:
         raise ValueError("iteration bound must be >= 0")
     require_same_alphabet(a, b)
@@ -487,7 +475,7 @@ def greatest_fixpoint(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
     number >= 0. With ``trace``, the cap on traced degrees of
     :func:`compute_dbsim` applies to ``max_iters`` + 1 components.
     """
-    max_iters = _as_int(max_iters)
+    max_iters = as_int(max_iters)
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if type(tol) is bool or not 0.0 <= tol < math.inf:  # NaN fails both comparisons

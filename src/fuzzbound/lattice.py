@@ -24,6 +24,7 @@ other value classes (sets, relations, automata, results, formulas).
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import Callable
 
 from .errors import DegreeRangeError
@@ -51,6 +52,13 @@ def validate_degree(value: float, what: str = "degree") -> float:
     if not 0.0 <= v <= 1.0:
         raise DegreeRangeError(f"{what} must lie in [0, 1], got {v!r}")
     return v if v else 0.0  # -0.0 becomes 0.0; any other float is returned as is
+
+
+def as_int(n) -> int:
+    """n as an int, for a bound or index: a bool or float raises TypeError."""
+    if type(n) is bool:  # index() takes True as 1
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return index(n)  # TypeError for a float, even 2.0
 
 
 # Each built-in op is written once, as an expression over its operands x and
@@ -177,7 +185,7 @@ class Structure(Frozen):
 
     def __init__(self, kind: str, tnorm: BinaryOp, residuum: BinaryOp,
                  eps_cmp: float = DEFAULT_EPS):
-        if not 0.0 <= eps_cmp < math.inf:  # NaN fails both comparisons
+        if type(eps_cmp) is bool or not 0.0 <= eps_cmp < math.inf:  # NaN fails both
             raise ValueError(f"eps_cmp must be a finite number >= 0, got {eps_cmp!r}")
         if (tnorm, residuum) not in _BUILTINS.values():
             tnorm, residuum = _checked("tnorm", tnorm), _checked("residuum", residuum)

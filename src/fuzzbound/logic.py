@@ -24,7 +24,7 @@ from typing import Sequence
 from .automata import FuzzyAutomaton, build_index, pull_back
 from .errors import DialectError, FormulaSyntaxError
 from .fuzzy import FuzzyRelation, FuzzySet, compose_rel_set, inverse, set_leq
-from .lattice import Frozen, Structure, validate_degree
+from .lattice import Frozen, Structure, as_int, validate_degree
 
 DIALECT_SIM = "sim"
 DIALECT_BISIM = "bisim"
@@ -275,6 +275,7 @@ def random_formula(dialect: str, max_depth: int,
 
     Deterministic per seed; the node count is at most 64.
     """
+    max_depth = as_int(max_depth)
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     if not constant_pool:

@@ -25,7 +25,7 @@ from .automata import (
 )
 from .dbsim import MODE_BISIM, canonical_mode
 from .fuzzy import FuzzySet
-from .lattice import Frozen, Structure
+from .lattice import Frozen, Structure, as_int
 
 DEFAULT_DEGREE_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -81,6 +81,7 @@ def naive_dbsim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, k: int,
     O(k * |alphabet| * n^4); intended for oracle-scale inputs only.
     """
     require_same_alphabet(a, b)
+    k = as_int(k)
     if k < 0:
         raise ValueError("depth must be >= 0")
     bisim = canonical_mode(mode) == MODE_BISIM

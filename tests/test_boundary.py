@@ -23,11 +23,14 @@ from fuzzbound import (
     automaton_to_json,
     compute_dbsim,
     format_formula,
+    language_bounded,
     parse_formula,
     relation_from_json,
     relation_to_json,
     structure,
     validate_degree,
+    verify_language_invariance,
+    verify_language_preservation,
 )
 from fuzzbound import automata, fuzzy
 from fuzzbound.automata import FuzzyAutomaton, require_word_bound
@@ -232,6 +235,21 @@ class TestWordBound:
                                          refused, monkeypatch):
         monkeypatch.setattr(automata, "MAX_CELLS", cells)
         self.assert_verdict(symbols, states, n, refused)
+
+    # A bool is an int to operator.index: True would enumerate the words of
+    # length <= 1. The type is checked before the range, so -0.5 is refused
+    # as a float, not as a negative bound.
+    @pytest.mark.parametrize("n", [True, False, 2.0, 2.5, -0.5])
+    def test_length_bound_is_an_int(self, n):
+        two = FuzzyAutomaton.build(["a", "b"], ["q"], {"q": 1.0}, {"q": 1.0}, [])
+        st = structure("godel")
+        with pytest.raises(TypeError):
+            require_word_bound(two, n)
+        with pytest.raises(TypeError):
+            language_bounded(st, two, n)
+        for verify in (verify_language_preservation, verify_language_invariance):
+            with pytest.raises(TypeError):
+                verify(st, two, two, FuzzyRelation(1, 1), n)
 
     @staticmethod
     def assert_verdict(symbols, states, n, refused):

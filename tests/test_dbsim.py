@@ -19,6 +19,7 @@ from fuzzbound import (
     compute_dbsim,
     custom_structure,
     greatest_fixpoint,
+    inverse,
     naive_dbsim,
     prefix_norm,
     rel_leq,
@@ -1202,6 +1203,35 @@ class TestNormReferee:
                                              tol=0.0, trace=True)):
                 expected = [prefix_norm(st, [rel], a, b, mode) for rel in result.prefix]
                 assert list(map(repr, result.norms)) == list(map(repr, expected))
+
+
+def inverse_chain_repr(result) -> str:
+    """chain_repr of the result with every component inverted."""
+    return repr((result.status, result.fixpoint_at, result.norms,
+                 [inverse(rel).degrees for rel in result.prefix]))
+
+
+class TestSwappedBisimulation:
+    # rel is a bisimulation from a to b iff its inverse is one from b to a,
+    # and a bisimulation round runs the simulation pass on each side. With
+    # the automata swapped, the rounds run the same two sides in the other
+    # order, on the inverse relations, so each component is the inverse of
+    # the one before the swap, bit for bit, with the same norms and stop.
+    # Only the largest single lowering depends on the order of the sides,
+    # so no run here stops on a tolerance above 0.
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pair=kernel_pairs(min_symbols=0), name=strat.sampled_from(STRUCTURE_NAMES),
+           called=strat.booleans())
+    def test_swapped_automata_give_the_inverse_chain(self, pair, name, called):
+        a, b = pair
+        st = routed(structure(name)) if called else structure(name)
+        for k in range(9):
+            assert (inverse_chain_repr(compute_dbbisim(st, a, b, k, trace=True))
+                    == chain_repr(compute_dbbisim(st, b, a, k, trace=True)))
+        runs = [greatest_fixpoint(st, x, y, "bisim", max_iters=100, tol=0.0, trace=True)
+                for x, y in ((a, b), (b, a))]
+        assert inverse_chain_repr(runs[0]) == chain_repr(runs[1])
 
 
 def differing(new, old):

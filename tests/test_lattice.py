@@ -240,6 +240,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite number >= 0"):
             custom_structure(min, lambda x, y: 1.0 if x <= y else y, eps)
 
+    # A bool passes the range test as 0 or 1: True would compare every degree
+    # within 1.0.
+    @pytest.mark.parametrize("eps", [True, False])
+    def test_bool_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            structure("godel", eps)
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            custom_structure(min, lambda x, y: 1.0 if x <= y else y, eps_cmp=eps)
+
     def test_eps_is_configurable(self):
         wide = structure("godel", eps_cmp=0.1)
         high, low = FuzzySet((1.0,)), FuzzySet((0.95,))

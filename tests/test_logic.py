@@ -170,6 +170,13 @@ class TestRandomFormula:
             assert formula_size(formula) <= 64
             assert in_dialect(formula, "bisim")
 
+    # A bool or float depth would build a formula as for its value (True as
+    # depth 1); the type is checked before the range.
+    @pytest.mark.parametrize("depth", [True, False, 2.0, 1.5, -0.5])
+    def test_depth_is_an_int(self, depth):
+        with pytest.raises(TypeError):
+            random_formula("sim", depth, (0.5,), ("s",), seed=0)
+
     def test_constant_pool_helper(self, pair):
         a, b = pair
         pool = constant_pool_for(a, b)

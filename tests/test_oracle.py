@@ -70,6 +70,14 @@ class TestNaiveRecurrence:
             assert len(chain) == 1
             assert max_rel_gap(chain[0], compute(st, a, b, 0).relation) == 0.0
 
+    # A bool is an int to operator.index: True would run one round. The type
+    # is checked before the range, as compute_dbsim's depth is.
+    @pytest.mark.parametrize("k", [True, False, 2.0, -0.5])
+    def test_depth_is_an_int(self, k):
+        a, b = chain_pair()
+        with pytest.raises(TypeError):
+            naive_dbsim(structure("godel"), a, b, k)
+
     def test_alphabet_mismatch(self, st):
         a, _ = chain_pair()
         other = generate_automaton(RandomAutomatonSpec(
