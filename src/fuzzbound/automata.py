@@ -44,8 +44,7 @@ class FuzzyAutomaton(Frozen):
                  transitions: tuple[tuple[Transition, ...], ...],  # per symbol index
                  initial: FuzzySet, terminal: FuzzySet,
                  state_names: Optional[tuple[str, ...]] = None):
-        if num_states < 1:
-            raise ValueError("an automaton needs at least one state")
+        num_states = as_int(num_states, 1, "the number of states")
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet symbols must be distinct")
         if state_names is None:
@@ -236,16 +235,14 @@ def language_eval(st: Structure, automaton: FuzzyAutomaton,
     return _accept(tnorm, vec, automaton.terminal.degrees)
 
 
-def require_word_bound(automaton: FuzzyAutomaton, n: int) -> None:
-    """Refuse a negative length bound, or one whose words would exceed
-    ``DEFAULT_WORD_CAP``: k^(n + 1) for k >= 2 symbols (the exponent clipped
-    where 2^e is past the cap), else (n + 1)^2 for n + 1 levels of words of
-    up to n letters; or whose widest level, k^n words (one word for k < 2)
-    with a degree per state each, would hold more than ``MAX_CELLS``
-    degrees."""
-    n = as_int(n)
-    if n < 0:
-        raise ValueError("word-length bound must be >= 0")
+def require_word_bound(automaton: FuzzyAutomaton, n: int) -> int:
+    """The length bound n as an int. Refuse a negative bound, or one whose
+    words would exceed ``DEFAULT_WORD_CAP``: k^(n + 1) for k >= 2 symbols
+    (the exponent clipped where 2^e is past the cap), else (n + 1)^2 for
+    n + 1 levels of words of up to n letters; or whose widest level, k^n
+    words (one word for k < 2) with a degree per state each, would hold
+    more than ``MAX_CELLS`` degrees."""
+    n = as_int(n, 0, "word-length bound")
     cap = DEFAULT_WORD_CAP
     k = automaton.num_symbols
     if (k ** min(n + 1, cap.bit_length() + 1) if k > 1 else (n + 1) ** 2) > cap:
@@ -256,6 +253,7 @@ def require_word_bound(automaton: FuzzyAutomaton, n: int) -> None:
         raise WordCapExceeded(
             f"words of length {n} over {k} symbols hold {slots} degrees of "
             f"{automaton.num_states} states, over the cap of {MAX_CELLS}")
+    return n
 
 
 def language_bounded(st: Structure, automaton: FuzzyAutomaton,
@@ -268,7 +266,7 @@ def language_bounded(st: Structure, automaton: FuzzyAutomaton,
     More than ``DEFAULT_WORD_CAP`` words, or a level of more than
     ``MAX_CELLS`` degrees, raise ``WordCapExceeded`` first.
     """
-    require_word_bound(automaton, n)
+    n = require_word_bound(automaton, n)
     tnorm = st.tnorm
     index = build_index(automaton)
     terminal = automaton.terminal.degrees
@@ -286,6 +284,21 @@ def language_bounded(st: Structure, automaton: FuzzyAutomaton,
                         _advance(tnorm, index.succ[s], vec, automaton.num_states)))
         frontier = next_frontier
     return language
+
+
+MODE_SIM = "simulation"
+MODE_BISIM = "bisimulation"
+
+_MODE_ALIASES = {"sim": MODE_SIM, "simulation": MODE_SIM,
+                 "bisim": MODE_BISIM, "bisimulation": MODE_BISIM}
+
+
+def canonical_mode(mode: str) -> str:
+    """MODE_SIM or MODE_BISIM, named in full or as "sim" or "bisim"."""
+    try:
+        return _MODE_ALIASES[mode]
+    except KeyError:
+        raise ValueError(f"unknown mode {mode!r} (use 'sim' or 'bisim')") from None
 
 
 def sim_norm(st: Structure, rel: FuzzyRelation, a: FuzzyAutomaton,

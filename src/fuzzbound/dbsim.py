@@ -23,16 +23,19 @@ pair, which it then calls.
 
 from __future__ import annotations
 
-import math
+import math  # read by the op text that _kernel inlines
 import re
 from itertools import compress, count
 from operator import ne
 from typing import Callable, Optional, Sequence
 
 from .automata import (
+    MODE_BISIM,
+    MODE_SIM,
     FuzzyAutomaton,
     bisim_norm,
     build_index,
+    canonical_mode,
     require_same_alphabet,
     require_shape,
     sim_norm,
@@ -48,24 +51,7 @@ from .fuzzy import (
     relation_to_json,
     set_leq,
 )
-from .lattice import _BUILTINS, _OP_TEXT, Frozen, Structure, as_int
-
-MODE_SIM = "simulation"
-MODE_BISIM = "bisimulation"
-
-_MODE_ALIASES = {
-    "sim": MODE_SIM,
-    "simulation": MODE_SIM,
-    "bisim": MODE_BISIM,
-    "bisimulation": MODE_BISIM,
-}
-
-
-def canonical_mode(mode: str) -> str:
-    try:
-        return _MODE_ALIASES[mode]
-    except KeyError:
-        raise ValueError(f"unknown mode {mode!r} (use 'sim' or 'bisim')") from None
+from .lattice import _BUILTINS, _OP_TEXT, Frozen, Structure, as_int, as_tolerance
 
 
 class DbSimResult(Frozen):
@@ -94,9 +80,7 @@ class DbSimResult(Frozen):
 
     def component(self, n: int) -> FuzzyRelation:
         """The component phi_n; past a fixpoint all components coincide."""
-        n = as_int(n)
-        if n < 0:
-            raise ValueError("component index must be >= 0")
+        n = as_int(n, 0, "component index")
         if not self.traced:
             raise ValueError("tracing was disabled; only .relation is available")
         last = len(self.prefix) - 1
@@ -397,9 +381,7 @@ def _rounds(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, bisim: bool):
 
 def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
          max_steps: int, trace: bool, tol: Optional[float]) -> DbSimResult:
-    max_steps = as_int(max_steps)
-    if max_steps < 0:
-        raise ValueError("iteration bound must be >= 0")
+    max_steps = as_int(max_steps, 0, "iteration bound")
     require_same_alphabet(a, b)
     # The working grid holds n_a * n_b degrees, a trace up to steps + 1 grids.
     held = max_steps + 1 if trace else 1
@@ -475,11 +457,8 @@ def greatest_fixpoint(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
     number >= 0. With ``trace``, the cap on traced degrees of
     :func:`compute_dbsim` applies to ``max_iters`` + 1 components.
     """
-    max_iters = as_int(max_iters)
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    if type(tol) is bool or not 0.0 <= tol < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    max_iters = as_int(max_iters, 1, "max_iters")
+    tol = as_tolerance(tol, "tol")
     return _run(st, a, b, canonical_mode(mode), max_iters, trace, tol=tol)
 
 

@@ -54,11 +54,21 @@ def validate_degree(value: float, what: str = "degree") -> float:
     return v if v else 0.0  # -0.0 becomes 0.0; any other float is returned as is
 
 
-def as_int(n) -> int:
-    """n as an int, for a bound or index: a bool or float raises TypeError."""
+def as_int(n, least: int, what: str) -> int:
+    """n as an int >= least: a bool or float raises TypeError first, even 2.0."""
     if type(n) is bool:  # index() takes True as 1
         raise TypeError("'bool' object cannot be interpreted as an integer")
-    return index(n)  # TypeError for a float, even 2.0
+    n = index(n)
+    if n < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return n
+
+
+def as_tolerance(x, what: str):
+    """x if it is a finite number >= 0, for a tolerance: a bool is refused as NaN is."""
+    if type(x) is bool or not 0.0 <= x < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"{what} must be a finite number >= 0, got {x!r}")
+    return x
 
 
 # Each built-in op is written once, as an expression over its operands x and
@@ -185,8 +195,7 @@ class Structure(Frozen):
 
     def __init__(self, kind: str, tnorm: BinaryOp, residuum: BinaryOp,
                  eps_cmp: float = DEFAULT_EPS):
-        if type(eps_cmp) is bool or not 0.0 <= eps_cmp < math.inf:  # NaN fails both
-            raise ValueError(f"eps_cmp must be a finite number >= 0, got {eps_cmp!r}")
+        eps_cmp = as_tolerance(eps_cmp, "eps_cmp")
         if (tnorm, residuum) not in _BUILTINS.values():
             tnorm, residuum = _checked("tnorm", tnorm), _checked("residuum", residuum)
         self._init(kind, tnorm, residuum, eps_cmp)

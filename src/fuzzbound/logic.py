@@ -21,13 +21,17 @@ import random
 import re
 from typing import Sequence
 
-from .automata import FuzzyAutomaton, build_index, pull_back
+from .automata import (
+    MODE_BISIM,
+    MODE_SIM,
+    FuzzyAutomaton,
+    build_index,
+    canonical_mode,
+    pull_back,
+)
 from .errors import DialectError, FormulaSyntaxError
 from .fuzzy import FuzzyRelation, FuzzySet, compose_rel_set, inverse, set_leq
 from .lattice import Frozen, Structure, as_int, validate_degree
-
-DIALECT_SIM = "sim"
-DIALECT_BISIM = "bisim"
 
 # Deepest parenthesis nesting the parser accepts. The evaluator, printer and
 # walkers take at most two frames per level (a walker maps over the
@@ -95,19 +99,13 @@ def formula_size(formula: Formula) -> int:
 
 
 def in_dialect(formula: Formula, dialect: str) -> bool:
-    """Does the formula avoid the guard the dialect excludes?"""
-    banned = Equiv if _canonical_dialect(dialect) == DIALECT_SIM else Imp
+    """Does the formula avoid the guard the dialect (named as a mode) excludes?"""
+    banned = Equiv if canonical_mode(dialect) == MODE_SIM else Imp
 
     def walk(f: Formula) -> bool:
         return not isinstance(f, banned) and all(map(walk, _children(f)))
 
     return walk(formula)
-
-
-def _canonical_dialect(dialect: str) -> str:
-    if dialect in (DIALECT_SIM, DIALECT_BISIM):
-        return dialect
-    raise ValueError(f"unknown dialect {dialect!r} (use 'sim' or 'bisim')")
 
 
 _TOKEN_RE = re.compile(
@@ -275,14 +273,12 @@ def random_formula(dialect: str, max_depth: int,
 
     Deterministic per seed; the node count is at most 64.
     """
-    max_depth = as_int(max_depth)
-    if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
+    max_depth = as_int(max_depth, 0, "max_depth")
     if not constant_pool:
         raise ValueError("constant_pool must not be empty")
     if not symbols:
         raise ValueError("symbols must not be empty")
-    guard = Imp if _canonical_dialect(dialect) == DIALECT_SIM else Equiv
+    guard = Imp if canonical_mode(dialect) == MODE_SIM else Equiv
     rng = random.Random(seed)
 
     def build(depth_left: int, budget: int) -> Formula:
@@ -313,7 +309,11 @@ def random_formula(dialect: str, max_depth: int,
     return build(max_depth, 64)
 
 
-def _require_usable(formula: Formula, depth_bound: int, dialect: str) -> None:
+def _values(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, formula: Formula,
+            depth_bound: int, dialect: str) -> tuple[FuzzySet, FuzzySet]:
+    # The formula's values on a and on b, once it is found to be of the
+    # dialect and of depth <= depth_bound.
+    depth_bound = as_int(depth_bound, 0, "depth_bound")
     if not in_dialect(formula, dialect):
         raise DialectError(
             f"formula {format_formula(formula)} is outside the {dialect} dialect")
@@ -321,6 +321,12 @@ def _require_usable(formula: Formula, depth_bound: int, dialect: str) -> None:
     if depth > depth_bound:
         raise DialectError(
             f"formula depth {depth} exceeds the component depth {depth_bound}")
+    return eval_formula(st, a, formula), eval_formula(st, b, formula)
+
+
+def _preserved(st: Structure, rel: FuzzyRelation, va: FuzzySet, vb: FuzzySet) -> bool:
+    # rel^-1 o va <= vb: va(x) (x) rel(x, x') is at most vb(x') for every pair.
+    return set_leq(st, compose_rel_set(st, inverse(rel), va), vb)
 
 
 def hm_check_sim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
@@ -330,20 +336,15 @@ def hm_check_sim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
     For a component of depth n of a depth-bounded fuzzy simulation and any
     simulation-dialect formula of depth <= n this must hold.
     """
-    _require_usable(formula, depth_bound, DIALECT_SIM)
-    va = eval_formula(st, a, formula)
-    vb = eval_formula(st, b, formula)
-    return set_leq(st, compose_rel_set(st, inverse(rel), va), vb)
+    return _preserved(st, rel, *_values(st, a, b, formula, depth_bound, MODE_SIM))
 
 
 def hm_check_bisim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
                    rel: FuzzyRelation, formula: Formula, depth_bound: int) -> bool:
-    """Both-direction counterpart of :func:`hm_check_sim` for the bisim dialect."""
-    _require_usable(formula, depth_bound, DIALECT_BISIM)
-    va = eval_formula(st, a, formula)
-    vb = eval_formula(st, b, formula)
-    return (set_leq(st, compose_rel_set(st, inverse(rel), va), vb)
-            and set_leq(st, compose_rel_set(st, rel, vb), va))
+    """Bisimulation counterpart of :func:`hm_check_sim`: its check on rel
+    from a to b, and on the inverse of rel from b to a."""
+    va, vb = _values(st, a, b, formula, depth_bound, MODE_BISIM)
+    return _preserved(st, rel, va, vb) and _preserved(st, inverse(rel), vb, va)
 
 
 def formula_bound_relation(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
@@ -354,8 +355,7 @@ def formula_bound_relation(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
     degree (bisim dialect) between the formula's values at x and x'. Every
     component of the corresponding depth regards it as an upper bound.
     """
-    op = (st.residuum if _canonical_dialect(dialect) == DIALECT_SIM
-          else st.biresiduum)
+    op = st.residuum if canonical_mode(dialect) == MODE_SIM else st.biresiduum
     va = eval_formula(st, a, formula)
     vb = eval_formula(st, b, formula)
     return FuzzyRelation.trusted(

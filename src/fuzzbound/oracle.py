@@ -14,18 +14,19 @@ import random
 from typing import Optional
 
 from .automata import (
+    MODE_BISIM,
     FuzzyAutomaton,
     FuzzyRelation,
     bisim_norm,
     build_index,
+    canonical_mode,
     pull_back,
     require_same_alphabet,
     require_word_bound,
     sim_norm,
 )
-from .dbsim import MODE_BISIM, canonical_mode
 from .fuzzy import FuzzySet
-from .lattice import Frozen, Structure, as_int
+from .lattice import Frozen, Structure, as_int, validate_degree
 
 DEFAULT_DEGREE_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -37,11 +38,9 @@ class RandomAutomatonSpec(Frozen):
 
     def __init__(self, num_states: int, num_symbols: int, transition_density: float,
                  seed: int = 0):
-        if num_states < 1 or num_symbols < 1:
-            raise ValueError("need at least one state and one symbol")
-        if not 0.0 <= transition_density <= 1.0:
-            raise ValueError("transition_density must lie in [0, 1]")
-        self._init(num_states, num_symbols, transition_density, seed)
+        self._init(as_int(num_states, 1, "num_states"),
+                   as_int(num_symbols, 1, "num_symbols"),
+                   validate_degree(transition_density, "transition_density"), seed)
 
 
 def generate_automaton(spec: RandomAutomatonSpec) -> FuzzyAutomaton:
@@ -81,9 +80,7 @@ def naive_dbsim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, k: int,
     O(k * |alphabet| * n^4); intended for oracle-scale inputs only.
     """
     require_same_alphabet(a, b)
-    k = as_int(k)
-    if k < 0:
-        raise ValueError("depth must be >= 0")
+    k = as_int(k, 0, "depth")
     bisim = canonical_mode(mode) == MODE_BISIM
     tnorm = st.tnorm
     residuum = st.residuum
@@ -153,7 +150,7 @@ def _verify_languages(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
                       rel: FuzzyRelation, n: int,
                       invariance: bool) -> VerificationReport:
     require_same_alphabet(a, b)
-    require_word_bound(a, n)
+    n = require_word_bound(a, n)
     require_word_bound(b, n)  # each word holds a degree per state of b too
     tnorm = st.tnorm
     compare = st.biresiduum if invariance else st.residuum

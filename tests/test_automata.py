@@ -63,6 +63,14 @@ class TestModel:
         with pytest.raises(InputFormatError):
             FuzzyAutomaton.build(["s"], ["q"], {}, {}, [("q", "t", "q", 0.3)])
 
+    # A count is an int: 2.0 equals len(state_names) and True equals 1, so
+    # either would be kept as the automaton's state count.
+    @pytest.mark.parametrize("count, names", [(2.0, ("q", "r")), (True, ("q",))])
+    def test_state_count_is_an_int(self, count, names):
+        ends = FuzzySet((0.0,) * len(names))
+        with pytest.raises(TypeError):
+            FuzzyAutomaton(count, ("s",), ((),), ends, ends, names)
+
     def test_symbol_relation(self):
         a, _ = chain_pair()
         assert a.symbol_relation(0) == relation(

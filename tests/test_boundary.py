@@ -251,6 +251,25 @@ class TestWordBound:
             with pytest.raises(TypeError):
                 verify(st, two, two, FuzzyRelation(1, 1), n)
 
+    # A bound that is an index stands for its int all the way through, not
+    # only in the cap check.
+    def test_index_bound_is_its_int(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        two = FuzzyAutomaton.build(["a", "b"], ["q", "r"], {"q": 1.0}, {"r": 0.5},
+                                   [("q", "a", "r", 0.8), ("r", "b", "q", 0.6)])
+        st = structure("godel")
+        bound = require_word_bound(two, Two())
+        assert type(bound) is int and bound == 2
+        assert language_bounded(st, two, Two()) == language_bounded(st, two, 2)
+        rel = FuzzyRelation(2, 2, ((1.0, 0.4), (0.7, 1.0)))
+        for verify in (verify_language_preservation, verify_language_invariance):
+            report = verify(st, two, two, rel, Two())
+            assert report == verify(st, two, two, rel, 2)
+            assert not report.ok
+
     @staticmethod
     def assert_verdict(symbols, states, n, refused):
         alphabet = [f"s{i}" for i in range(symbols)]

@@ -4,7 +4,8 @@ No module may import a name it never uses, or define a private module-level
 name it never references. No function in the package may take a parameter
 it never reads, so that a settable value with no effect cannot enter the
 API, or assign a local it never reads. dbsim's round kernel is source text that dbsim
-compiles per structure; its generic instantiation is read as part of dbsim.
+compiles per structure; its generic instantiation, and the built-in ops'
+expression text it inlines, are read as part of dbsim.
 """
 
 import ast
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fuzzbound import cli, dbsim
+from fuzzbound import cli, dbsim, lattice
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fuzzbound"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
@@ -111,6 +112,9 @@ def parse(module, kernel_text=dbsim._KERNEL_TEXT):
     tree = ast.parse((PACKAGE / module).read_text(), filename=module)
     if module == "dbsim.py":
         tree.body += ast.parse(kernel_text, filename="<kernel>").body
+        # The built-in ops' expressions, which _kernel inlines into it.
+        for text in lattice._OP_TEXT.values():
+            tree.body += ast.parse(text, filename="<op>").body
     return tree
 
 

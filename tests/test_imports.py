@@ -104,6 +104,10 @@ class TestPackageNamespace:
         assert loaded_by("from fuzzbound import structure") == [
             "fuzzbound", "fuzzbound.errors", "fuzzbound.lattice"]
 
+    def test_the_oracle_loads_no_dbsim(self):
+        # The referee does not import the code it referees.
+        assert "fuzzbound.dbsim" not in loaded_by("from fuzzbound import naive_dbsim")
+
     def test_dir_and_star_import_give_the_old_export_list(self):
         out = run_python(
             "import json, fuzzbound\n"

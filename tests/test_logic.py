@@ -111,6 +111,21 @@ class TestShape:
         assert not in_dialect(Equiv(0.5, Tau()), "sim")
         assert in_dialect(Tau(), "sim") and in_dialect(Tau(), "bisim")
 
+    # A dialect is named as a mode is everywhere else, by either name.
+    def test_dialects_take_the_mode_names(self, pair):
+        a, b = pair
+        st = structure("godel")
+        pool = constant_pool_for(a, b)
+        for short, full in (("sim", "simulation"), ("bisim", "bisimulation")):
+            for formula in (Imp(0.5, Tau()), Equiv(0.5, Tau())):
+                assert in_dialect(formula, full) == in_dialect(formula, short)
+                assert (formula_bound_relation(st, a, b, formula, full)
+                        == formula_bound_relation(st, a, b, formula, short))
+            assert (random_formula(full, 3, pool, a.alphabet, 7)
+                    == random_formula(short, 3, pool, a.alphabet, 7))
+        with pytest.raises(ValueError, match="unknown mode 'dbsim'"):
+            in_dialect(Tau(), "dbsim")
+
     def test_guard_constant_validated(self):
         with pytest.raises(DegreeRangeError):
             Imp(1.2, Tau())
@@ -215,6 +230,29 @@ class TestHennessyMilner:
             hm_check_sim(st, a, b, rel, Equiv(0.5, Tau()), 3)
         with pytest.raises(DialectError):
             hm_check_bisim(st, a, b, rel, Imp(0.5, Tau()), 3)
+
+    # A float or bool bound would be compared with the formula's depth as a
+    # number: 2.5 would admit depth 2, and True depth 1.
+    @pytest.mark.parametrize("bound", [2.0, 2.5, True, False])
+    def test_depth_bound_is_an_int(self, pair, bound):
+        a, b = pair
+        st = structure("godel")
+        rel = FuzzyRelation(2, 2)
+        for check in (hm_check_sim, hm_check_bisim):
+            with pytest.raises(TypeError):
+                check(st, a, b, rel, Tau(), bound)
+
+    def test_depth_bound_may_be_an_index(self, pair):
+        class Two:
+            def __index__(self):
+                return 2
+
+        a, b = pair
+        st = structure("godel")
+        rel = FuzzyRelation(2, 2)
+        assert hm_check_sim(st, a, b, rel, parse_formula(WORKED), Two())
+        with pytest.raises(DialectError):
+            hm_check_sim(st, a, b, rel, Dia("s", parse_formula(WORKED)), Two())
 
     def test_random_formulas_preserved(self, st):
         for seed in range(4):

@@ -15,7 +15,7 @@ from fuzzbound import (
     verify_language_invariance,
     verify_language_preservation,
 )
-from fuzzbound.errors import AlphabetMismatch, DimensionMismatch
+from fuzzbound.errors import AlphabetMismatch, DegreeRangeError, DimensionMismatch
 from fuzzbound.oracle import DEFAULT_DEGREE_GRID, RandomAutomatonSpec
 
 from conftest import assert_rel_close, chain_pair, loop_pair, relation
@@ -54,6 +54,17 @@ class TestGenerator:
         with pytest.raises(ValueError):
             RandomAutomatonSpec(num_states=1, num_symbols=1,
                                 transition_density=1.5)
+
+    @pytest.mark.parametrize("states, symbols", [
+        (True, True), (2.0, 1), (2, 1.0), (1, True), (False, 1)])
+    def test_counts_are_ints(self, states, symbols):
+        with pytest.raises(TypeError):
+            RandomAutomatonSpec(states, symbols, 0.5)
+
+    @pytest.mark.parametrize("density", [True, False])
+    def test_bool_density_is_refused(self, density):
+        with pytest.raises(DegreeRangeError):
+            RandomAutomatonSpec(2, 1, density)
 
 
 class TestNaiveRecurrence:
