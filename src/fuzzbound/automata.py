@@ -62,6 +62,9 @@ class FuzzyAutomaton(Frozen):
         for s, triples in enumerate(transitions):
             per_symbol = []
             for x, y, d in triples:
+                if type(x) is not int or type(y) is not int:  # a bool or float raises
+                    x = as_int(x, 0, "transition source")
+                    y = as_int(y, 0, "transition target")
                 if not (0 <= x < num_states and 0 <= y < num_states):
                     raise ValueError(f"transition ({x}, {y}) out of state range")
                 if type(d) is not float or not 0.0 < d <= 1.0:

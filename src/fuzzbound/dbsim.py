@@ -23,8 +23,7 @@ pair, which it then calls.
 
 from __future__ import annotations
 
-import math  # read by the op text that _kernel inlines
-import re
+import math  # read by the op templates that _kernel inlines
 from itertools import compress, count
 from operator import ne
 from typing import Callable, Optional, Sequence
@@ -51,7 +50,7 @@ from .fuzzy import (
     relation_to_json,
     set_leq,
 )
-from .lattice import _BUILTINS, _OP_TEXT, Frozen, Structure, as_int, as_tolerance
+from .lattice import _KINDS, _TEMPLATES, Frozen, Structure, as_int, as_tolerance
 
 
 class DbSimResult(Frozen):
@@ -151,13 +150,12 @@ def _side(st: Structure, left: tuple, right: tuple) -> tuple[tuple, tuple]:
 
 
 # The round kernel, written once: the text of _pass, which :func:`_kernel`
-# compiles per structure. An op is applied only on a line
-# ``target = tnorm(a, b)`` or ``target = residuum(a, b)``, with plain names
-# or literals as operands. Compiled as it stands, the text calls the ops it
-# binds from st: the generic kernel. For a built-in pair, each such line
-# becomes the op's text with x, y and v renamed to a, b and target, so it
-# makes the float operations of the op's function in the same order, and
-# the binding lines go.
+# compiles per structure. It applies each op at one call site,
+# ``v = tnorm(d, p)`` and ``new = residuum(d, bound)``. Compiled as it
+# stands, the text calls the ops it binds from st: the generic kernel. For a
+# built-in pair, the binding line goes and each call becomes the op's
+# template with (x, y, v) filled in as (d, p, v) and (d, bound, new), so it
+# makes the float operations of the op's function in the same order.
 _KERNEL_TEXT = '''\
 def _pass(st: Structure, grid: list[list[float]],
           prev: Sequence[Sequence[float]], caps: list, floors: list, opens: list,
@@ -250,9 +248,6 @@ def _pass(st: Structure, grid: list[list[float]],
     return max_drop
 '''
 _BIND = "    tnorm, residuum = st.tnorm, st.residuum\n"
-_OP_LINE = r"(?m)^( +)(\w+) = (tnorm|residuum)\(([\w.]+), ([\w.]+)\)$"
-_OPERAND = r"\b[xyv]\b"
-_KINDS = {ops: kind for kind, ops in _BUILTINS.items()}  # built-in pair -> name
 # The compiled kernels, _pass per built-in structure name or "generic".
 _KERNELS: dict[str, Callable] = {}
 
@@ -267,16 +262,11 @@ def _kernel(st: Structure) -> Callable:
     if kernel is None:
         text = _KERNEL_TEXT
         if kind != "generic":
-            tnorm, residuum = _BUILTINS[kind]
-            inline = {"tnorm": _OP_TEXT[tnorm], "residuum": _OP_TEXT[residuum]}
-
-            def substitute(line: re.Match) -> str:
-                indent, target, op, x, y = line.groups()
-                names = {"x": x, "y": y, "v": target}
-                return f"{indent}{target} = " + re.sub(
-                    _OPERAND, lambda m: names[m[0]], inline[op])
-
-            text = re.sub(_OP_LINE, substitute, text.replace(_BIND, ""))
+            tnorm, residuum = _TEMPLATES[kind]
+            text = (text.replace(_BIND, "")
+                    .replace("tnorm(d, p)", tnorm.format(x="d", y="p", v="v"))
+                    .replace("residuum(d, bound)",
+                             residuum.format(x="d", y="bound", v="new")))
         scope: dict = {}
         code = compile(text, f"<fuzzbound.dbsim kernel, {kind}>", "exec")
         exec(code, globals(), scope)

@@ -4,18 +4,19 @@ A structure bundles a t-norm with its adjoint residuum, plus the comparison
 tolerance used everywhere degrees are compared. The three classic structures
 (Godel, Lukasiewicz, product) are built in; user-defined pairs plug in through
 :func:`custom_structure`, each result checked at the call. Each built-in op is
-written once, as expression text; its function here is built from that text,
-and dbsim's round kernel is compiled per built-in structure with the same text
-inlined, while any other pair runs the same kernel text through calls. The
-built-ins run unchecked: they map [0, 1] floats to [0, 1] floats, so relations
-computed from them are frozen unchecked. They are linear and their t-norms are
-continuous, which the fixpoint results rely on; this is a documented
-assumption, not a runtime check. The round kernel also relies on three laws
-that follow from monotonicity and adjunction and that the built-ins keep in
-floats: (L1) x (x) y <= x (x) 1.0, (L2) (x => y) >= y and (L3) x => y is
-monotone in y, so (x => y) >= (x => 0.0). The norms take a t-norm's operands
-in whichever order suits the loop, which relies on (C) x (x) y == y (x) x,
-kept bit for bit by the built-ins.
+written once, as a format template over its operands; its function here is
+the template filled in, and dbsim's round kernel is compiled per built-in
+structure with the templates filled in with its own names, while any other
+pair runs the same kernel text through calls. The built-ins run unchecked:
+they map [0, 1] floats to [0, 1] floats, so relations computed from them are
+frozen unchecked. They are linear and their t-norms are continuous, which the
+fixpoint results rely on; this is a documented assumption, not a runtime
+check. The round kernel also relies on three laws that follow from
+monotonicity and adjunction and that the built-ins keep in floats:
+(L1) x (x) y <= x (x) 1.0, (L2) (x => y) >= y and (L3) x => y is monotone in
+y, so (x => y) >= (x => 0.0). The norms take a t-norm's operands in whichever
+order suits the loop, which relies on (C) x (x) y == y (x) x, kept bit for
+bit by the built-ins.
 
 :class:`Frozen` is the immutable base of ``Structure`` and of the package's
 other value classes (sets, relations, automata, results, formulas).
@@ -71,35 +72,38 @@ def as_tolerance(x, what: str):
     return x
 
 
-# Each built-in op is written once, as an expression over its operands x and
-# y in which v may name a temporary; it reads nothing but builtins and math.
-# The functions are built from this text, and dbsim's round kernel inlines it.
-_OP_TEXT: dict[BinaryOp, str] = {}
+# Each built-in structure is its two ops, t-norm and residuum, each written
+# once as a format template over its operands {x} and {y}, in which {v} may
+# name a temporary; it reads nothing but builtins and math. The functions
+# here fill the fields in with x, y and v; dbsim's round kernel fills them in
+# with its own names and inlines them.
+_TEMPLATES: dict[str, tuple[str, str]] = {
+    "godel": ("{x} if {x} < {y} else {y}", "1.0 if {x} <= {y} else {y}"),
+    "lukasiewicz": ("{v} if ({v} := {x} + {y} - 1.0) > 0.0 else 0.0",
+                    "{v} if ({v} := 1.0 - {x} + {y}) < 1.0 else 1.0"),
+    # x = 0 falls under x <= y, so the division is never by zero. Below
+    # 2**-1022, the smallest positive normal float, x is subnormal: the
+    # t-norm x * t rounds to a multiple of 2**-1074, so x * t <= y holds in
+    # floats up to t = (y + 2**-1075) / x, not y / x (e.g. 5e-324 * 0.5 ==
+    # 0.0). Scaled by 2**1074 both are exact integers.
+    "product": ("{x} * {y}",
+                "1.0 if {x} <= {y} else {y} / {x} if {x} >= 2.0 ** -1022"
+                " else (math.ldexp({y}, 1074) + 0.5) / math.ldexp({x}, 1074)"),
+}
 
 
-def _op(name: str, text: str) -> BinaryOp:
-    # The module-level function of a built-in op, built from its text.
-    scope: dict[str, BinaryOp] = {}
-    exec(f"def {name}(x: float, y: float) -> float:\n    return {text}\n",
-         globals(), scope)
-    _OP_TEXT[scope[name]] = text
-    return scope[name]
+def _op(name: str, template: str) -> BinaryOp:
+    # The function of a built-in op, defined as a module attribute (pickle
+    # finds a structure's ops by name).
+    exec(f"def {name}(x: float, y: float) -> float:\n"
+         f"    return {template.format(x='x', y='y', v='v')}\n", globals())
+    return globals()[name]
 
 
-_godel_tnorm = _op("_godel_tnorm", "x if x < y else y")
-_godel_residuum = _op("_godel_residuum", "1.0 if x <= y else y")
-_lukasiewicz_tnorm = _op("_lukasiewicz_tnorm", "v if (v := x + y - 1.0) > 0.0 else 0.0")
-_lukasiewicz_residuum = _op("_lukasiewicz_residuum",
-                            "v if (v := 1.0 - x + y) < 1.0 else 1.0")
-_product_tnorm = _op("_product_tnorm", "x * y")
-# x = 0 falls under x <= y, so the division is never by zero. Below 2**-1022,
-# the smallest positive normal float, x is subnormal: the t-norm x * t rounds
-# to a multiple of 2**-1074, so x * t <= y holds in floats up to
-# t = (y + 2**-1075) / x, not y / x (e.g. 5e-324 * 0.5 == 0.0). Scaled by
-# 2**1074 both are exact integers.
-_product_residuum = _op("_product_residuum",
-                        "1.0 if x <= y else y / x if x >= 2.0 ** -1022"
-                        " else (math.ldexp(y, 1074) + 0.5) / math.ldexp(x, 1074)")
+_BUILTINS: dict[str, tuple[BinaryOp, BinaryOp]] = {
+    name: (_op(f"_{name}_tnorm", tnorm), _op(f"_{name}_residuum", residuum))
+    for name, (tnorm, residuum) in _TEMPLATES.items()}
+_KINDS = {ops: kind for kind, ops in _BUILTINS.items()}  # built-in pair -> name
 
 
 def _checked(name: str, op: BinaryOp) -> BinaryOp:
@@ -196,7 +200,7 @@ class Structure(Frozen):
     def __init__(self, kind: str, tnorm: BinaryOp, residuum: BinaryOp,
                  eps_cmp: float = DEFAULT_EPS):
         eps_cmp = as_tolerance(eps_cmp, "eps_cmp")
-        if (tnorm, residuum) not in _BUILTINS.values():
+        if (tnorm, residuum) not in list(_KINDS):  # compared: an op need not hash
             tnorm, residuum = _checked("tnorm", tnorm), _checked("residuum", residuum)
         self._init(kind, tnorm, residuum, eps_cmp)
 
@@ -209,12 +213,6 @@ class Structure(Frozen):
         b = self.residuum(y, x)
         return a if a < b else b
 
-
-_BUILTINS: dict[str, tuple[BinaryOp, BinaryOp]] = {
-    "godel": (_godel_tnorm, _godel_residuum),
-    "lukasiewicz": (_lukasiewicz_tnorm, _lukasiewicz_residuum),
-    "product": (_product_tnorm, _product_residuum),
-}
 
 STRUCTURE_NAMES = tuple(_BUILTINS)
 

@@ -94,10 +94,6 @@ def formula_depth(formula: Formula) -> int:
             + max(map(formula_depth, _children(formula)), default=0))
 
 
-def formula_size(formula: Formula) -> int:
-    return 1 + sum(map(formula_size, _children(formula)))
-
-
 def in_dialect(formula: Formula, dialect: str) -> bool:
     """Does the formula avoid the guard the dialect (named as a mode) excludes?"""
     banned = Equiv if canonical_mode(dialect) == MODE_SIM else Imp

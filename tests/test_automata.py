@@ -71,6 +71,36 @@ class TestModel:
         with pytest.raises(TypeError):
             FuzzyAutomaton(count, ("s",), ((),), ends, ends, names)
 
+    # A transition's source and target are ints too: 1.0 and True are in
+    # range, and a float index would be stored, to fail later in a lookup.
+    @pytest.mark.parametrize("triple", [(0, 1.0, 0.5), (1.0, 0, 0.5), (True, 1, 0.5),
+                                        (0, False, 0.5)])
+    def test_transition_states_are_ints(self, triple):
+        ends = FuzzySet((0.0, 0.0))
+        with pytest.raises(TypeError):
+            FuzzyAutomaton(2, ("s",), ((triple,),), ends, ends)
+
+    @pytest.mark.parametrize("triple", [(-1, 0, 0.5), (0, 2, 0.5)])
+    def test_transition_states_are_in_range(self, triple):
+        ends = FuzzySet((0.0, 0.0))
+        with pytest.raises(ValueError):
+            FuzzyAutomaton(2, ("s",), ((triple,),), ends, ends)
+
+    def test_an_index_object_is_stored_as_its_int(self):
+        class Index:
+            def __init__(self, n):
+                self.n = n
+
+            def __index__(self):
+                return self.n
+
+        ends = FuzzySet((0.0, 0.0))
+        a = FuzzyAutomaton(2, ("s",), (((Index(0), Index(1), 0.5),),), ends, ends)
+        assert [tuple(map(type, t)) for t in a.transitions[0]] == [(int, int, float)]
+        assert a.transitions == (((0, 1, 0.5),),)
+        with pytest.raises(ValueError):
+            FuzzyAutomaton(2, ("s",), (((Index(0), Index(-1), 0.5),),), ends, ends)
+
     def test_symbol_relation(self):
         a, _ = chain_pair()
         assert a.symbol_relation(0) == relation(

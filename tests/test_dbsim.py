@@ -25,7 +25,7 @@ from fuzzbound import (
     rel_leq,
     structure,
 )
-from fuzzbound import dbsim
+from fuzzbound import dbsim, lattice
 from fuzzbound.automata import build_index
 from fuzzbound.errors import AlphabetMismatch, DegreeRangeError, DimensionMismatch
 from fuzzbound.oracle import RandomAutomatonSpec, generate_automaton
@@ -1150,6 +1150,25 @@ class TestCompiledKernels:
         code = KERNEL(routed(structure(name))).__code__
         assert "tnorm" in code.co_varnames
         assert "generic" in code.co_filename
+
+    @pytest.mark.parametrize("mode, compute", [("sim", compute_dbsim),
+                                               ("bisim", compute_dbbisim)])
+    def test_a_mixed_pair_of_builtin_ops_runs_the_generic_kernel(self, mode, compute):
+        # Built-in ops, but not a built-in pair: each is checked at the call,
+        # and the kernel calls them.
+        godel_tnorm, product_residuum = (lattice._BUILTINS["godel"][0],
+                                         lattice._BUILTINS["product"][1])
+        st = custom_structure(godel_tnorm, product_residuum)
+        assert st.tnorm is not godel_tnorm and st.residuum is not product_residuum
+        assert {op.__qualname__ for op in (st.tnorm, st.residuum)} == {
+            "_checked.<locals>.checked"}
+        assert "generic" in KERNEL(st).__code__.co_filename
+        for seed in range(40):
+            a, b = (generate_automaton(RandomAutomatonSpec(
+                2 + (seed + i) % 5, 2, 0.5, seed=2 * seed + i)) for i in (0, 1))
+            expected = naive_dbsim(st, a, b, 5, mode)
+            result = compute(st, a, b, 5, trace=True)
+            assert [result.component(i) for i in range(6)] == expected, seed
 
     def test_the_cache_holds_the_builtin_pairs_only(self):
         a, b = chain_pair()

@@ -5,7 +5,7 @@ name it never references. No function in the package may take a parameter
 it never reads, so that a settable value with no effect cannot enter the
 API, or assign a local it never reads. dbsim's round kernel is source text that dbsim
 compiles per structure; its generic instantiation, and the built-in ops'
-expression text it inlines, are read as part of dbsim.
+templates it inlines, filled in with x, y and v, are read as part of dbsim.
 """
 
 import ast
@@ -112,8 +112,9 @@ def parse(module, kernel_text=dbsim._KERNEL_TEXT):
     tree = ast.parse((PACKAGE / module).read_text(), filename=module)
     if module == "dbsim.py":
         tree.body += ast.parse(kernel_text, filename="<kernel>").body
-        # The built-in ops' expressions, which _kernel inlines into it.
-        for text in lattice._OP_TEXT.values():
+        # The built-in ops' templates, which _kernel inlines into it.
+        for template in (t for ops in lattice._TEMPLATES.values() for t in ops):
+            text = template.format(x="x", y="y", v="v")
             tree.body += ast.parse(text, filename="<op>").body
     return tree
 

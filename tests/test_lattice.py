@@ -285,6 +285,18 @@ class TestConstruction:
         assert type(st.tnorm(0.5, 0.5)) is float and st.tnorm(0.5, 0.5) == 1.0
         assert type(st.residuum(0.5, 0.5)) is float
 
+    def test_an_unhashable_op_is_checked_at_the_call(self):
+        class Op:  # defines __eq__, so it has no hash
+            def __eq__(self, other):
+                return self is other
+
+            def __call__(self, x, y):
+                return 2.0
+
+        st = custom_structure(Op(), Op())
+        with pytest.raises(DegreeRangeError, match=r"tnorm\(0\.25, 0\.5\)"):
+            st.tnorm(0.25, 0.5)
+
     @pytest.mark.parametrize("name", STRUCTURE_NAMES)
     def test_builtins_run_unwrapped(self, name):
         st = structure(name)

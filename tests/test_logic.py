@@ -24,10 +24,15 @@ from fuzzbound import (
     structure,
 )
 from fuzzbound.errors import DegreeRangeError, DialectError, FormulaSyntaxError
-from fuzzbound.logic import MAX_NESTING, formula_size
+from fuzzbound.logic import MAX_NESTING, _children
 from fuzzbound.oracle import RandomAutomatonSpec, generate_automaton
 
 WORKED = "(s . (s . (0.9 -> T)))"
+
+
+def formula_size(formula) -> int:
+    """The number of nodes in the formula's tree."""
+    return 1 + sum(map(formula_size, _children(formula)))
 
 
 class TestParser:
