@@ -19,11 +19,11 @@ from .errors import (
     WordCapExceeded,
 )
 from .fuzzy import (
-    MAX_CELLS,
     FuzzyRelation,
     FuzzySet,
     compose_rel_set,
     inverse,
+    require_cells,
     subset_degree,
 )
 from .lattice import Frozen, Structure, as_int, validate_degree
@@ -251,11 +251,8 @@ def require_word_bound(automaton: FuzzyAutomaton, n: int) -> int:
     if (k ** min(n + 1, cap.bit_length() + 1) if k > 1 else (n + 1) ** 2) > cap:
         raise WordCapExceeded(
             f"words of length <= {n} over {k} symbols exceed the cap of {cap}")
-    slots = (k ** n if k > 1 else 1) * automaton.num_states
-    if slots > MAX_CELLS:
-        raise WordCapExceeded(
-            f"words of length {n} over {k} symbols hold {slots} degrees of "
-            f"{automaton.num_states} states, over the cap of {MAX_CELLS}")
+    slots = (k ** n if k > 1 else 1) * automaton.num_states  # a degree per state
+    require_cells(slots, f"words of length {n} over {k} symbols", WordCapExceeded)
     return n
 
 

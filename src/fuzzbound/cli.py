@@ -36,7 +36,7 @@ from .errors import (
     UnknownSymbol,
     WordCapExceeded,
 )
-from .fuzzy import relation_from_json
+from .fuzzy import relation_from_json, require_cells
 from .lattice import DEFAULT_EPS, STRUCTURE_NAMES, Structure, structure
 
 # The names the handlers call from these modules, which load only when a
@@ -44,8 +44,8 @@ from .lattice import DEFAULT_EPS, STRUCTURE_NAMES, Structure, structure
 # globals, keeping any already set (a wrapper put in their place), and
 # ``__getattr__`` serves a reader that comes before it.
 _LAZY = {
-    "dbsim": ("check_bisim", "check_dbbisim_prefix", "check_dbsim_prefix",
-              "check_sim", "compute_dbbisim", "compute_dbsim", "greatest_fixpoint"),
+    "dbsim": ("check_dbbisim_prefix", "check_dbsim_prefix", "compute_dbbisim",
+              "compute_dbsim", "greatest_fixpoint"),
     "logic": ("eval_formula", "format_formula", "parse_formula"),
 }
 
@@ -214,31 +214,32 @@ def _cmd_check(args: argparse.Namespace, st: Structure) -> dict:
     _bind("dbsim")
     left = automaton_from_json(_load_json(args.left))
     right = automaton_from_json(_load_json(args.right))
+    # One chain, from a relation object, an array of them or a result
+    # document's trace (sim and bisim check one relation as (rel, rel)),
+    # counted, and each declared shape compared, before any grid exists.
     doc = _load_json(args.relation)
-    # A declared shape is compared with the automata before any grid exists.
+    chain = doc["trace"] if isinstance(doc, dict) and "trace" in doc else doc
+    chain = [chain] if isinstance(chain, dict) else chain
+    plain = args.mode in ("sim", "bisim")
+    if not isinstance(chain, list) or not chain or plain and len(chain) > 1:
+        raise InputFormatError(
+            f"--mode {args.mode} checks {'one relation' if plain else 'a chain'}: "
+            "a relation object, an array of them, or a result document's trace")
     shape = (left.num_states, right.num_states)
-    if args.mode in ("sim", "bisim"):
-        if not isinstance(doc, dict) or "trace" in doc:
-            raise InputFormatError(
-                f"--mode {args.mode} expects a single relation object")
-        rel = relation_from_json(doc, shape)
-        checker = check_sim if args.mode == "sim" else check_bisim
-        return {"mode": args.mode, "ok": checker(st, left, right, rel)}
-    if isinstance(doc, dict) and "trace" in doc:
-        doc = doc["trace"]
-    if isinstance(doc, dict):
-        doc = [doc]
-    elif not isinstance(doc, list):
-        raise InputFormatError("relation file must hold an object or an array")
-    elif not doc:
-        raise InputFormatError("prefix file contains no relations")
-    prefix = [relation_from_json(item, shape) for item in doc]
-    checker = check_dbsim_prefix if args.mode == "dbsim" else check_dbbisim_prefix
-    return {"mode": args.mode, "ok": checker(st, left, right, prefix)}
+    require_cells(len(chain) * shape[0] * shape[1], f"a chain of {len(chain)} "
+                  f"{shape[0]}x{shape[1]} relations", RelationCapExceeded)
+    chain = [relation_from_json(item, shape) for item in chain] * (2 if plain else 1)
+    checker = check_dbbisim_prefix if "bisim" in args.mode else check_dbsim_prefix
+    return {"mode": args.mode, "ok": checker(st, left, right, chain)}
 
 
 def _cmd_lang(args: argparse.Namespace, st: Structure) -> dict:
     automaton = automaton_from_json(_load_json(args.left))
+    # Words are named by their symbols joined with spaces, --word is split.
+    for name in automaton.alphabet:
+        if name.split() != [name]:
+            raise InputFormatError(f"lang cannot name words over symbol {name!r}: "
+                                   "a name must be non-empty, without whitespace")
     if args.word is not None:
         names = args.word.split()
         word = word_from_names(automaton, names)

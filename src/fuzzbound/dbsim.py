@@ -41,13 +41,13 @@ from .automata import (
 )
 from .errors import TraceCapExceeded
 from .fuzzy import (
-    MAX_CELLS,
     FuzzyRelation,
     compose_rel_rel,
     compose_rel_set,
     inverse,
     rel_leq,
     relation_to_json,
+    require_cells,
     set_leq,
 )
 from .lattice import _KINDS, _TEMPLATES, Frozen, Structure, as_int, as_tolerance
@@ -324,13 +324,6 @@ def _transpose(grid: Sequence[Sequence[float]]) -> list[list[float]]:
     return [list(col) for col in zip(*grid)]
 
 
-def _require_cells(cells: int, what: str) -> None:
-    # Called before any grid exists; exit code 3 in the CLI.
-    if cells > MAX_CELLS:
-        raise TraceCapExceeded(
-            f"{what} could hold {cells} degrees, over the cap of {MAX_CELLS}")
-
-
 def _rounds(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, bisim: bool):
     # The chain phi_0, phi_1, ... as (degrees, norm, drop) per component:
     # degrees x-major, drop the largest single lowering of the round that
@@ -375,8 +368,8 @@ def _run(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, mode: str,
     require_same_alphabet(a, b)
     # The working grid holds n_a * n_b degrees, a trace up to steps + 1 grids.
     held = max_steps + 1 if trace else 1
-    _require_cells(held * a.num_states * b.num_states,
-                   f"{held} grid(s) of {a.num_states}x{b.num_states}")
+    require_cells(held * a.num_states * b.num_states,
+                  f"{held} grid(s) of {a.num_states}x{b.num_states}", TraceCapExceeded)
     prefix: list[FuzzyRelation] = []
     norms: list[float] = []
     fixpoint_at: Optional[int] = None
@@ -492,8 +485,9 @@ def _check_prefix(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
     for rel in prefix:
         require_shape(rel, a, b)
     # _simulates builds each symbol's dense relation, on both sides at once.
-    _require_cells(a.num_symbols * (a.num_states ** 2 + b.num_states ** 2),
-                   f"the symbol relations of {a.num_states} and {b.num_states} states")
+    require_cells(a.num_symbols * (a.num_states ** 2 + b.num_states ** 2),
+                  f"the symbol relations of {a.num_states} and {b.num_states} states",
+                  TraceCapExceeded)
     inverses = [inverse(rel) for rel in prefix]
     return (_simulates(st, a, b, prefix, inverses)
             and (not bisim or _simulates(st, b, a, inverses, prefix)))

@@ -30,7 +30,7 @@ class TraceCapExceeded(FuzzboundError, RuntimeError):
 
 
 class RelationCapExceeded(FuzzboundError, RuntimeError):
-    """A relation document declares more cells than the cap."""
+    """A relation document or chain declares more cells than the cap."""
 
 
 class FormulaSyntaxError(FuzzboundError, ValueError):

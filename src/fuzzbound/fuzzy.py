@@ -14,15 +14,23 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import DimensionMismatch, InputFormatError, RelationCapExceeded
 from .lattice import Frozen, Structure, validate_degree
 
-# The most degrees a loaded relation, or the components of a traced run, may
-# hold: 2**24 cells are 128 MiB of tuple slots alone, before any float they
-# point to (a loaded relation is built in lists first, as much again). An
-# untraced run peaked at about 80 B per n_a*n_b cell at n = 1000, so one at
-# the cap would near 1.3 GB (extrapolated; no run that size was made). A
-# loaded relation's row counts as _ROW_CELLS cells more: the list and the
-# tuple that hold it take about 100 bytes, even when it is empty.
+# The most degrees a grid may keep, counted by require_cells before it is
+# built: a run's working grid or trace, check's chain and symbol relations, a
+# loaded relation, a level of words. It counts degrees, not bytes or working
+# copies: 2**24 cells are 128 MiB of tuple slots alone, and an untraced run
+# peaked at about 80 B per n_a*n_b cell at n = 1000, so one at the cap would
+# near 1.3 GB (extrapolated; no run that size was made). A loaded relation's
+# row counts as _ROW_CELLS cells more: the list and the tuple that hold it
+# take about 100 bytes, even when it is empty.
 MAX_CELLS = 2 ** 24
 _ROW_CELLS = 8
+
+
+def require_cells(cells: int, what: str, error: type[Exception]) -> None:
+    """Raise ``error`` before ``what`` exists if its ``cells`` exceed ``MAX_CELLS``."""
+    if cells > MAX_CELLS:
+        raise error(f"{what}: {cells} cells, over the cap of {MAX_CELLS} cells")
+
 
 # The 0.0 a loaded relation's cells start as. It is no parsed entry's float,
 # so an entry whose cell holds any other object repeats an earlier entry.
@@ -206,9 +214,8 @@ def relation_from_json(doc: dict,
     if shape is not None and (rows, cols) != shape:
         raise DimensionMismatch(
             f"relation is {rows}x{cols}, expected {shape[0]}x{shape[1]}")
-    if rows * (cols + _ROW_CELLS) > MAX_CELLS:
-        raise RelationCapExceeded(
-            f"a {rows}x{cols} relation is over the cap of {MAX_CELLS} cells")
+    require_cells(rows * (cols + _ROW_CELLS), f"a {rows}x{cols} relation and its rows",
+                  RelationCapExceeded)
     raw = doc.get("entries", [])
     if not isinstance(raw, (list, tuple)):
         raise InputFormatError("relation entries must be a JSON array")

@@ -21,8 +21,10 @@ from fuzzbound import (
     FuzzyRelation,
     automaton_from_json,
     automaton_to_json,
+    check_dbsim_prefix,
     compute_dbsim,
     format_formula,
+    greatest_fixpoint,
     language_bounded,
     parse_formula,
     relation_from_json,
@@ -39,6 +41,7 @@ from fuzzbound.errors import (
     DegreeRangeError,
     FuzzboundError,
     RelationCapExceeded,
+    TraceCapExceeded,
     WordCapExceeded,
 )
 
@@ -233,7 +236,7 @@ class TestWordBound:
         (0, 6, 0, 6, False), (0, 7, 0, 6, True)])
     def test_level_cap_counts_the_states(self, symbols, states, n, cells,
                                          refused, monkeypatch):
-        monkeypatch.setattr(automata, "MAX_CELLS", cells)
+        monkeypatch.setattr(fuzzy, "MAX_CELLS", cells)
         self.assert_verdict(symbols, states, n, refused)
 
     # A bool is an int to operator.index: True would enumerate the words of
@@ -281,6 +284,27 @@ class TestWordBound:
             assert refused
         else:
             assert not refused
+
+
+class TestOneCap:
+    # Every grid is counted against fuzzy.MAX_CELLS, read at each call, so a
+    # patched cap reaches the runs, the checkers, the word levels and the
+    # relation loader alike. The chain pair has 2 states and 1 symbol.
+    @pytest.mark.parametrize("call, error", [
+        (lambda st, a, b: compute_dbsim(st, a, b, 0), TraceCapExceeded),
+        (lambda st, a, b: greatest_fixpoint(st, a, b, "sim"), TraceCapExceeded),
+        (lambda st, a, b: check_dbsim_prefix(st, a, b, [FuzzyRelation(2, 2)]),
+         TraceCapExceeded),
+        (lambda st, a, b: language_bounded(st, a, 0), WordCapExceeded),
+        (lambda st, a, b: relation_from_json({"rows": 2, "cols": 2}),
+         RelationCapExceeded),
+    ], ids=["dbsim", "greatest", "check", "language", "relation"])
+    def test_patched_cap_reaches_every_count(self, call, error, monkeypatch):
+        st, a, b = structure("godel"), chain_automaton(), chain_automaton_variant()
+        call(st, a, b)
+        monkeypatch.setattr(fuzzy, "MAX_CELLS", 1)
+        with pytest.raises(error, match="over the cap of 1 cells"):
+            call(st, a, b)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stdout
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
+import fuzzbound
 from fuzzbound import (
     FuzzyAutomaton,
     FuzzyRelation,
@@ -21,7 +25,7 @@ from fuzzbound import (
     structure,
 )
 from fuzzbound import dbsim, fuzzy
-from fuzzbound.cli import _emit, build_parser, run
+from fuzzbound.cli import _emit, build_parser, main, run
 from fuzzbound.dbsim import DbSimResult
 from fuzzbound.fuzzy import MAX_CELLS
 from fuzzbound.oracle import RandomAutomatonSpec, generate_automaton
@@ -36,6 +40,21 @@ def files(tmp_path):
     left.write_text(json.dumps(automaton_to_json(chain_automaton())))
     right.write_text(json.dumps(automaton_to_json(chain_automaton_variant())))
     return str(left), str(right)
+
+
+@pytest.fixture(scope="module")
+def wide_chain(tmp_path_factory):
+    """Paths of two 1000-state automata and of a result document whose trace
+    holds 20 empty 1000 x 1000 relations."""
+    root = tmp_path_factory.mktemp("wide")
+    names = [f"q{i}" for i in range(1000)]
+    wide = FuzzyAutomaton.build(["s"], names, {"q0": 1.0}, {"q0": 1.0}, [])
+    paths = root / "a.json", root / "b.json", root / "chain.json"
+    for path in paths[:2]:
+        path.write_text(json.dumps(automaton_to_json(wide)))
+    paths[2].write_text(json.dumps(
+        {"trace": [{"rows": 1000, "cols": 1000, "entries": []}] * 20}))
+    return tuple(map(str, paths))
 
 
 def run_json(capsys, argv):
@@ -270,6 +289,60 @@ class TestTraceCap:
         out, err = capsys.readouterr()
         assert out == "" and "over the cap" in err
 
+    def test_chain_at_the_cap_checks_and_one_more_is_refused(
+            self, files, tmp_path, capsys, monkeypatch):
+        # A traced run and check count the same len(chain) * n_a * n_b
+        # degrees: the longest trace the cap lets a run write reads back, and
+        # a chain one component longer is refused before any relation is
+        # built.
+        left, right = files
+        depth = 7
+        monkeypatch.setattr(fuzzy, "MAX_CELLS", (depth + 1) * 2 * 2)
+        trace = tmp_path / "trace.json"
+        base = ["--left", left, "--right", right, "--tnorm", "lukasiewicz"]
+        assert run(["dbsim", *base, "--depth", str(depth + 1), "--trace"]) == 3
+        assert run(["dbsim", *base, "--depth", str(depth), "--trace",
+                    "--output", str(trace)]) == 0
+        # Past a fixpoint every component is the last one.
+        doc = json.loads(trace.read_text())
+        doc["trace"] += [doc["trace"][-1]] * (depth + 1 - len(doc["trace"]))
+        check = ["check", *base, "--relation", str(trace), "--mode", "dbsim"]
+        trace.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_json(capsys, check) == (0, {"mode": "dbsim", "ok": True})
+        doc["trace"].append(doc["trace"][-1])
+        trace.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            code = run(check)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 500_000
+        out, err = capsys.readouterr()
+        assert out == "" and f"over the cap of {(depth + 1) * 4} cells" in err
+
+    @pytest.mark.parametrize("mode", ["dbsim", "dbbisim", "sim"])
+    def test_long_chain_of_empty_relations_is_refused_before_building(
+            self, wide_chain, capsys, mode):
+        # 20 relations of 1000 x 1000 are 2 * 10**7 cells, over the cap,
+        # though each is far under it and the file holds under 1 kB. sim
+        # checks one relation, and a chain of more is refused as such.
+        left, right, chain = wide_chain
+        tracemalloc.start()
+        try:
+            code = run(["check", "--left", left, "--right", right,
+                        "--relation", chain, "--mode", mode])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert out == "" and peak < 2_000_000, f"peak {peak} bytes"
+        if mode == "sim":
+            assert code == 1 and "one relation" in err
+        else:
+            assert code == 3 and "over the cap of 16777216 cells" in err
+
     def test_benchmark_sized_runs_are_far_under_the_cap(self):
         # cli-session traces depth 4 on 80-state pairs; greatest runs at most
         # 60 iterations on 100-state pairs.
@@ -321,6 +394,25 @@ class TestCheck:
             "check", "--left", left, "--right", right,
             "--relation", str(prefix), "--mode", "dbbisim"])
         assert code == 0 and doc["ok"] is True
+
+    @pytest.mark.parametrize("mode", ["sim", "bisim"])
+    def test_plain_mode_reads_one_relation_in_each_shape(
+            self, files, tmp_path, capsys, mode):
+        left, right = files
+        rel = {"rows": 2, "cols": 2,
+               "entries": [[0, 0, 1.0], [0, 1, 1.0], [1, 1, 0.4]]}
+        path = tmp_path / "rel.json"
+        argv = ["check", "--left", left, "--right", right,
+                "--relation", str(path), "--mode", mode]
+        verdicts = []
+        for doc in (rel, [rel], {"trace": [rel], "phi_k": rel}):
+            path.write_text(json.dumps(doc))
+            verdicts.append(run_json(capsys, argv))
+        assert verdicts == [(0, {"mode": mode, "ok": mode == "sim"})] * 3
+        for doc in ([], [rel, rel], {"trace": []}, 5):
+            path.write_text(json.dumps(doc))
+            assert run(argv) == 1
+            assert "relation" in capsys.readouterr().err
 
     def test_wrong_shape_is_semantic_error(self, files, tmp_path):
         left, right = files
@@ -616,6 +708,24 @@ class TestLang:
         left, _ = files
         assert run(["lang", "--left", left, "--word", "t"]) == 2
 
+    @pytest.mark.parametrize("alphabet", [["", "a"], ["a b", "a", "b"], ["\tb", "a"]])
+    def test_symbol_that_cannot_name_a_word_is_input_error(
+            self, tmp_path, capsys, alphabet):
+        # A word is named by its symbols joined with spaces and --word is
+        # split at whitespace: over "" the empty word and ("",) would share
+        # a name, and over "a b" the word ("a b",) and (a, b) would.
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps(automaton_to_json(FuzzyAutomaton.build(
+            alphabet, ["q"], {"q": 1.0}, {"q": 0.5},
+            [("q", s, "q", 0.6) for s in alphabet]))))
+        for selector in (["--max-len", "2"], ["--word", "a"]):
+            assert run(["lang", "--left", str(path), *selector]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and repr(alphabet[0]) in err
+        # Other commands do not join names, and accept them.
+        assert run(["dbsim", "--left", str(path), "--right", str(path),
+                    "--depth", "1"]) == 0
+
     def test_requires_exactly_one_selector(self, files):
         left, _ = files
         assert run(["lang", "--left", left]) == 1
@@ -715,6 +825,24 @@ class TestEnvironment:
         assert run(argv) == 0
         out, err = capsys.readouterr()
         assert out.startswith("usage: fuzzbound") and err == ""
+
+    def test_main_exits_with_the_code_of_run(self, wide_chain, monkeypatch):
+        # cli.main in this process, and python -m fuzzbound in a child.
+        left, right, chain = wide_chain
+        over = ["check", "--left", left, "--right", right, "--relation", chain,
+                "--mode", "dbsim"]
+        src = os.path.dirname(os.path.dirname(fuzzbound.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv, code in ((["--help"], 0), (over, 3)):
+            monkeypatch.setattr(sys, "argv", ["fuzzbound", *argv])
+            with pytest.raises(SystemExit) as exit_:
+                main()
+            assert exit_.value.code == code
+            child = subprocess.run([sys.executable, "-m", "fuzzbound", *argv],
+                                   env=env, capture_output=True, text=True,
+                                   timeout=60)
+            assert child.returncode == code, child.stderr
+        assert "over the cap" in child.stderr and child.stdout == ""
 
     def test_usage_error_exit_code(self, files):
         assert run(["dbsim", "--depth", "1"]) == 1
