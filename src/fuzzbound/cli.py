@@ -44,8 +44,8 @@ from .lattice import DEFAULT_EPS, STRUCTURE_NAMES, Structure, structure
 # globals, keeping any already set (a wrapper put in their place), and
 # ``__getattr__`` serves a reader that comes before it.
 _LAZY = {
-    "dbsim": ("check_dbbisim_prefix", "check_dbsim_prefix", "compute_dbbisim",
-              "compute_dbsim", "greatest_fixpoint"),
+    "dbsim": ("_require_checkable", "check_dbbisim_prefix", "check_dbsim_prefix",
+              "compute_dbbisim", "compute_dbsim", "greatest_fixpoint"),
     "logic": ("eval_formula", "format_formula", "parse_formula"),
 }
 
@@ -216,7 +216,8 @@ def _cmd_check(args: argparse.Namespace, st: Structure) -> dict:
     right = automaton_from_json(_load_json(args.right))
     # One chain, from a relation object, an array of them or a result
     # document's trace (sim and bisim check one relation as (rel, rel)),
-    # counted, and each declared shape compared, before any grid exists.
+    # counted with the checker's symbol relations, and each declared shape
+    # compared, before any grid exists.
     doc = _load_json(args.relation)
     chain = doc["trace"] if isinstance(doc, dict) and "trace" in doc else doc
     chain = [chain] if isinstance(chain, dict) else chain
@@ -228,6 +229,7 @@ def _cmd_check(args: argparse.Namespace, st: Structure) -> dict:
     shape = (left.num_states, right.num_states)
     require_cells(len(chain) * shape[0] * shape[1], f"a chain of {len(chain)} "
                   f"{shape[0]}x{shape[1]} relations", RelationCapExceeded)
+    _require_checkable(left, right)
     chain = [relation_from_json(item, shape) for item in chain] * (2 if plain else 1)
     checker = check_dbbisim_prefix if "bisim" in args.mode else check_dbsim_prefix
     return {"mode": args.mode, "ok": checker(st, left, right, chain)}

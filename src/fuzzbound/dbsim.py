@@ -110,15 +110,16 @@ class DbSimResult(Frozen):
 
 
 def _init_grid(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
-               bisim: bool) -> list[list[float]]:
-    # phi_0 is the greatest relation compatible with the terminal sets; the
-    # working grid is held x'-major (see _pass). One row of calls per
-    # distinct terminal degree of b (never -0.0), copied per state.
+               bisim: bool) -> tuple[tuple, list[list[float]]]:
+    # phi_0, the greatest relation compatible with the terminal sets, as
+    # (x-major tuples, x'-major lists). One row of calls per distinct
+    # terminal degree of b (never -0.0), copied per state.
     op = st.biresiduum if bisim else st.residuum
     ta = a.terminal.degrees
     tb = b.terminal.degrees
     rows = {ty: [op(tx, ty) for tx in ta] for ty in dict.fromkeys(tb)}
-    return [rows[ty][:] for ty in tb]
+    grid = [rows[ty][:] for ty in tb]
+    return tuple(zip(*grid)), grid
 
 
 def _views(st: Structure, pred: Sequence, succ: Sequence) -> tuple[list, list, list]:
@@ -127,13 +128,13 @@ def _views(st: Structure, pred: Sequence, succ: Sequence) -> tuple[list, list, l
     # state of the right automaton, each (y', d') as (cap, y', d'), largest
     # cap first, cap = d' (x) 1.0 (which need not be d'); per state of the
     # left one, each (x, d) as (x, d, floor), floor = d => 0.0; per x' of
-    # the right, the open mask, at first every y with a predecessor.
+    # the right, the open mask (see _pass), at first every y with a predecessor.
     tnorm, residuum = st.tnorm, st.residuum
     caps = [[sorted(((tnorm(d, 1.0), y, d) for y, d in succ_x), reverse=True)
              for succ_x in succ_s] for succ_s in succ]
     floors = [[[(x, d, residuum(d, 0.0)) for x, d in pred_y] for pred_y in pred_s]
               for pred_s in pred]
-    opens = [[sum(1 << y for y, pred_y in enumerate(pred_s) if pred_y)] * len(succ_s)
+    opens = [[int.from_bytes(bytes(map(bool, pred_s)), "little")] * len(succ_s)
              for pred_s, succ_s in zip(floors, caps)]
     return caps, floors, opens
 
@@ -174,12 +175,13 @@ def _pass(st: Structure, grid: list[list[float]],
     transposes both relations. ``caps``, ``floors`` and ``opens`` are the
     direction's :func:`_views`: the successors of the right automaton, the
     predecessors of the left one, and per symbol and x' the open mask of the
-    pass, an int whose bit y is set while the pair (x', y) might still lower
-    a cell. A built-in structure's kernel has its t-norm and residuum
-    inlined; any other calls st's (:func:`_kernel`).
+    pass, an int whose bit 8y is set while the pair (x', y) might still
+    lower a cell: a mask holds a byte per cell, so int.from_bytes and
+    int.to_bytes convert it in C. A built-in structure's kernel has its
+    t-norm and residuum inlined; any other calls st's (:func:`_kernel`).
 
-    ``marks`` holds, per column y' of prev, an int whose bit y is set if the
-    cell prev[y][y'] differs from the relation the last round read. The
+    ``marks`` holds, per column y' of prev, an int whose bit 8y is set if
+    the cell prev[y][y'] differs from the relation the last round read. The
     first round (``marks`` is None) visits every open pair, at first every
     (x', y) where y has a predecessor. A later round visits only the open
     pairs with a marked successor cell: any other pair's bound is the one it
@@ -221,7 +223,7 @@ def _pass(st: Structure, grid: list[list[float]],
                 if cur > top and cur > floor:
                     top = cur
             if top == 0.0:
-                settled |= 1 << y
+                settled |= 1 << 8 * y
                 continue
             bound = 0.0
             for cap, yp, d in succ_list:
@@ -274,21 +276,12 @@ def _kernel(st: Structure) -> Callable:
     return kernel
 
 
-_BITS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits as compress selectors
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # and back
-
-
-def _selectors(mask: int) -> bytes:
-    # The bits of mask, lowest first, as one compress selector each.
-    return format(mask, "b")[::-1].encode().translate(_BITS)
-
-
 def _revisits(grid: list[list[float]], prev: Sequence[Sequence[float]],
               caps: list, floors: list, marks: Optional[list[int]], opens: list):
     # The work of a pass: per symbol and live x' ascending, the open pairs
     # (x', y) whose bound reads a marked cell (y, y'), y' a successor of x',
     # each as (y, prev[y], pred[y]), with the symbol's open masks and x'.
-    # The y are the set bits of the open mask (a subset of the y with
+    # The y are the bytes set in the open mask (a subset of the y with
     # predecessors) ANDed with the OR of those columns' marks, if any; when
     # that is every y with predecessors, the symbol's one list is shared.
     live = list(compress(range(len(grid)), map(any, grid)))
@@ -308,15 +301,15 @@ def _revisits(grid: list[list[float]], prev: Sequence[Sequence[float]],
             if ys.bit_count() == len(every_y):
                 yield grid[xp], succ_list, every_y, open_s, xp
             elif ys:
-                yield grid[xp], succ_list, compress(items, _selectors(ys)), open_s, xp
+                yield (grid[xp], succ_list,
+                       compress(items, ys.to_bytes(len(items), "little")), open_s, xp)
 
 
 def _diff(new: Sequence[Sequence[float]],
           old: Sequence[Sequence[float]]) -> list[int]:
-    # Per row, the columns where new and old differ, as the set bits of an
-    # int. Rows compare in C, and a row that moved is turned into its int in
-    # C too (base 2 has no digit limit), lowest column as the last digit.
-    return [int(bytes(map(ne, row, old_row))[::-1].translate(_DIGITS), 2)
+    # Per row, the columns c where new and old differ, as the bits 8c of an
+    # int. Rows compare in C, and a row that moved becomes its int in C too.
+    return [int.from_bytes(bytes(map(ne, row, old_row)), "little")
             if row != old_row else 0 for row, old_row in zip(new, old)]
 
 
@@ -333,10 +326,9 @@ def _rounds(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, bisim: bool):
     # The sides: a to b, and for a bisimulation b to a on the inverse relations.
     sides = [_side(st, *ends)] + ([_side(st, *ends[::-1])] if bisim else [])
     run_pass = _kernel(st)
-    grid = _init_grid(st, a, b, bisim)
     # The component x-major (tuples, yielded) and x'-major (lists): side s
     # reads orientation s and writes the other one.
-    phi = (tuple(zip(*grid)), grid)
+    phi = _init_grid(st, a, b, bisim)
     norm = [[1.0]]  # phi(iota_a, iota_b), the norm (see _pass), lowered by each side
     # Per side, the _diff masks of the cells the last round changed, per
     # column of the orientation it reads; None: every cell may have.
@@ -405,11 +397,11 @@ def compute_dbsim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, k: int,
     is a full one, O(n_a m_b + n_b m_a + n_a n_b) for automata of n states
     and m transitions; a later round visits only the open pairs whose
     successor degrees changed in the round before, plus O(m_b) int ORs to
-    find those pairs and one C-level O(n_a n_b) diff per orientation to find
-    the changed cells (a simulation needs only one). A pair whose cells have
-    all reached their floors is settled and leaves the work for good. The
-    start component costs one row of n_a calls per distinct terminal degree
-    of b. A run whose working grid, or traced chain, could hold more than
+    find those pairs and one C-level O(n_a n_b) diff, a byte per cell, per
+    orientation (a simulation needs only one). A pair whose cells have all
+    reached their floors is settled and leaves the work for good. The start
+    component costs one row of n_a calls per distinct terminal degree of b.
+    A run whose working grid, or traced chain, could hold more than
     ``MAX_CELLS`` degrees raises ``TraceCapExceeded`` before its first round.
     """
     return _run(st, a, b, MODE_SIM, k, trace, tol=None)
@@ -477,17 +469,22 @@ def check_dbbisim_prefix(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
     return _check_prefix(st, a, b, prefix, bisim=True)
 
 
+def _require_checkable(a: FuzzyAutomaton, b: FuzzyAutomaton) -> None:
+    # The automata of a check: one alphabet, and the dense relation of each
+    # symbol, which _simulates builds on both sides at once, under the cap.
+    require_same_alphabet(a, b)
+    require_cells(a.num_symbols * (a.num_states ** 2 + b.num_states ** 2),
+                  f"the symbol relations of {a.num_states} and {b.num_states} states",
+                  TraceCapExceeded)
+
+
 def _check_prefix(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton,
                   prefix: Sequence[FuzzyRelation], bisim: bool) -> bool:
-    require_same_alphabet(a, b)
+    _require_checkable(a, b)
     if not prefix:
         raise ValueError("prefix must contain at least one relation")
     for rel in prefix:
         require_shape(rel, a, b)
-    # _simulates builds each symbol's dense relation, on both sides at once.
-    require_cells(a.num_symbols * (a.num_states ** 2 + b.num_states ** 2),
-                  f"the symbol relations of {a.num_states} and {b.num_states} states",
-                  TraceCapExceeded)
     inverses = [inverse(rel) for rel in prefix]
     return (_simulates(st, a, b, prefix, inverses)
             and (not bisim or _simulates(st, b, a, inverses, prefix)))

@@ -343,6 +343,33 @@ class TestTraceCap:
         else:
             assert code == 3 and "over the cap of 16777216 cells" in err
 
+    def test_symbol_relations_are_counted_before_the_chain_is_built(
+            self, tmp_path, capsys):
+        # check builds each symbol's dense relation: 1 * (20000**2 + 1)
+        # cells here, over the cap, while a chain of 40 empty 20000 x 1
+        # relations is under it. The run is refused before any relation of
+        # the chain is built, so its peak does not grow with the chain.
+        paths = {name: tmp_path / f"{name}.json" for name in ("a", "b", "chain")}
+        for name, states in (("a", 20000), ("b", 1)):
+            names = [f"q{i}" for i in range(states)]
+            paths[name].write_text(json.dumps(automaton_to_json(
+                FuzzyAutomaton.build(["s"], names, {"q0": 1.0}, {"q0": 1.0}, []))))
+        argv = ["check", "--left", str(paths["a"]), "--right", str(paths["b"]),
+                "--relation", str(paths["chain"]), "--mode", "dbsim"]
+        peaks = []
+        for length in (1, 40):
+            paths["chain"].write_text(json.dumps(
+                [{"rows": 20000, "cols": 1, "entries": []}] * length))
+            tracemalloc.start()
+            try:
+                code = run(argv)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            out, err = capsys.readouterr()
+            assert code == 3 and out == "" and "symbol relations" in err
+        assert peaks[1] - peaks[0] < 1_000_000, f"peaks {peaks} bytes"
+
     def test_benchmark_sized_runs_are_far_under_the_cap(self):
         # cli-session traces depth 4 on 80-state pairs; greatest runs at most
         # 60 iterations on 100-state pairs.

@@ -1011,10 +1011,10 @@ class TestRevisitPass:
         index_a, index_b = build_index(a), build_index(b)
         caps, floors, opened = dbsim._views(st, index_a.pred, index_b.succ)
         for s, xp, y in closed:
-            opened[s][xp] &= ~(1 << y)
+            opened[s][xp] &= ~(1 << 8 * y)
         marks = [0] * b.num_states
         for y, yp in changed:
-            marks[yp] |= 1 << y
+            marks[yp] |= 1 << 8 * y
 
         def expected(shut, grid, marks):
             # Every open pair of a live row whose y has predecessors and that
@@ -1036,7 +1036,7 @@ class TestRevisitPass:
                        for was, now in zip(was_s, now_s))
             cleared = {(s, xp, y) for s, (was_s, now_s) in enumerate(zip(opened, opens))
                        for xp, (was, now) in enumerate(zip(was_s, now_s))
-                       for y in range(a.num_states) if (was & ~now) >> y & 1}
+                       for y in range(a.num_states) if (was & ~now) >> 8 * y & 1}
             # The pass closes the pairs it finds settled: every visited pair
             # settled before it, and only pairs still settled after it.
             visited = set(first)
@@ -1253,14 +1253,85 @@ class TestSwappedBisimulation:
         assert inverse_chain_repr(runs[0]) == chain_repr(runs[1])
 
 
+class TestCountedWork:
+    """The paper's polynomial bound on a run, pinned by counted op calls.
+
+    Each built-in pair runs through counting wrappers, so the generic kernel
+    calls every op it applies. With n_l, n_r states and m_l, m_r transitions
+    (over all symbols) on the left and the right of a side, a run calls at
+    most:
+
+    - in _init_grid, one residuum (simulation) or biresiduum, two residua
+      (bisimulation), per cell of phi_0: 2 n_a n_b;
+    - per side (l, r), which is (a, b), and (b, a) too for a bisimulation:
+      - in _views, a t-norm per transition of r (its caps) and a residuum
+        per transition of l (its floors), and in the norm views of _side a
+        t-norm per positive initial degree of r and a residuum per positive
+        initial degree of l: m_l + m_r + n_l + n_r;
+      - in _pass on the norm grid, once per component: the one x' and each
+        of the n_l states y at most once, with at most n_r successors and
+        one predecessor, n_l n_r + n_l;
+      - in _pass per round: each pair (x', y) of a symbol at most once, a
+        t-norm per successor of x' and a residuum per predecessor of y,
+        n_l m_r + n_r m_l over the symbols.
+
+    A run of c components makes c - 1 rounds, or c when its last round
+    lowered nothing (status "fixpoint"). The pairs are criterion 10's: 1 symbol, out-degree
+    3, k = 4.
+    """
+
+    @staticmethod
+    def pair(n):
+        return tuple(generate_automaton(RandomAutomatonSpec(
+            num_states=n, num_symbols=1, transition_density=min(1.0, 3.0 / n),
+            seed=seed)) for seed in (n, n + 7))
+
+    @staticmethod
+    def bound(a, b, mode, result):
+        components = len(result.norms)
+        rounds = components - (result.status != "fixpoint")
+        sides = [(a, b), (b, a)] if mode == "bisim" else [(a, b)]
+        calls = 2 * a.num_states * b.num_states
+        for left, right in sides:
+            (n_l, m_l), (n_r, m_r) = [(x.num_states, sum(map(len, x.transitions)))
+                                      for x in (left, right)]
+            calls += (m_l + m_r + n_l + n_r + components * (n_l * n_r + n_l)
+                      + rounds * (n_l * m_r + n_r * m_l))
+        return calls
+
+    @pytest.mark.parametrize("mode", ["sim", "bisim"])
+    @pytest.mark.parametrize("name", STRUCTURE_NAMES)
+    def test_op_calls_are_within_the_polynomial_bound(self, name, mode):
+        tnorm, residuum = lattice._BUILTINS[name]
+        calls = [0]
+
+        def counted(op):
+            def call(x, y):
+                calls[0] += 1
+                return op(x, y)
+            return call
+
+        st = custom_structure(counted(tnorm), counted(residuum))
+        compute = compute_dbbisim if mode == "bisim" else compute_dbsim
+        for n in (50, 100, 200):
+            a, b = self.pair(n)
+            calls[0] = 0
+            result = compute(st, a, b, 4)
+            assert result.relation == compute(structure(name), a, b, 4).relation
+            assert 0 < calls[0] <= self.bound(a, b, mode, result), (n, calls[0])
+
+
 def differing(new, old):
     """Per row, the set of columns where the two relations differ."""
     return [{c for c, (p, q) in enumerate(zip(row, old_row)) if p != q}
             for row, old_row in zip(new, old)]
 
 
-def set_bits(mask):
-    return {c for c in range(mask.bit_length()) if mask >> c & 1}
+def set_bytes(mask):
+    """The cells c of a change mask, one byte each: those whose byte is 1."""
+    cells = mask.to_bytes(-(-mask.bit_length() // 8), "little")
+    assert set(cells) <= {0, 1}
+    return {c for c, flag in enumerate(cells) if flag}
 
 
 @strat.composite
@@ -1281,7 +1352,7 @@ WIDE = 4400  # wider than the 4300 digits Python reads into an int in base 10
 
 
 class TestChangeMasks:
-    # dbsim._diff reads the cells that differ per row as the bits of an int,
+    # dbsim._diff reads the cells that differ per row as the bytes of an int,
     # on x-major components (tuples) and on x'-major working grids (lists).
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -1290,9 +1361,9 @@ class TestChangeMasks:
                    ((0.5,) * WIDE, (0.5,) * WIDE)))
     def test_masks_are_the_differing_cells(self, pair):
         new, old = pair
-        assert list(map(set_bits, dbsim._diff(new, old))) == differing(new, old)
+        assert list(map(set_bytes, dbsim._diff(new, old))) == differing(new, old)
         new_t, old_t = dbsim._transpose(new), dbsim._transpose(old)
-        assert list(map(set_bits, dbsim._diff(new_t, old_t))) == differing(new_t, old_t)
+        assert list(map(set_bytes, dbsim._diff(new_t, old_t))) == differing(new_t, old_t)
 
     @pytest.mark.parametrize("name,mode,seed,states,density", [
         ("lukasiewicz", "sim", 4, 5, 0.5),
