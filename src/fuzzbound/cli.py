@@ -215,17 +215,24 @@ def _cmd_check(args: argparse.Namespace, st: Structure) -> dict:
     left = automaton_from_json(_load_json(args.left))
     right = automaton_from_json(_load_json(args.right))
     # One chain, from a relation object, an array of them or a result
-    # document's trace (sim and bisim check one relation as (rel, rel)),
-    # counted with the checker's symbol relations, and each declared shape
-    # compared, before any grid exists.
-    doc = _load_json(args.relation)
-    chain = doc["trace"] if isinstance(doc, dict) and "trace" in doc else doc
-    chain = [chain] if isinstance(chain, dict) else chain
+    # document (its phi_k for sim and bisim, which check one relation as
+    # (rel, rel); else its trace), counted with the checker's symbol
+    # relations, and each declared shape compared, before any grid exists.
+    chain = _load_json(args.relation)
     plain = args.mode in ("sim", "bisim")
+    if isinstance(chain, dict):
+        if plain and "phi_k" in chain:
+            chain = chain["phi_k"]
+        elif "trace" in chain:
+            chain = chain["trace"]
+        elif "phi_k" in chain:
+            raise InputFormatError(f"--mode {args.mode} checks a chain, and this "
+                                   "result document has none: write it with --trace")
+    chain = [chain] if isinstance(chain, dict) else chain
     if not isinstance(chain, list) or not chain or plain and len(chain) > 1:
         raise InputFormatError(
             f"--mode {args.mode} checks {'one relation' if plain else 'a chain'}: "
-            "a relation object, an array of them, or a result document's trace")
+            "a relation object, an array of them, or a result document")
     shape = (left.num_states, right.num_states)
     require_cells(len(chain) * shape[0] * shape[1], f"a chain of {len(chain)} "
                   f"{shape[0]}x{shape[1]} relations", RelationCapExceeded)

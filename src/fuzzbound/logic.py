@@ -104,107 +104,72 @@ def in_dialect(formula: Formula, dialect: str) -> bool:
     return walk(formula)
 
 
+# One group matches at every position: a token, a character no token starts
+# with (`bad`), or the end of the input, so a scan ends with an `eof` token.
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<lparen>\()|(?P<rparen>\))|(?P<equiv><->)|(?P<imp>->)"
     r"|(?P<dot>\.)|(?P<amp>&)|(?P<number>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)"
-    r"|(?P<symbol>[A-Za-z_][A-Za-z0-9_]*))")
+    r"|(?P<tau>T(?![A-Za-z0-9_]))|(?P<symbol>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<bad>\S)|(?P<eof>\Z))")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.lastgroup is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise FormulaSyntaxError(f"unexpected character {text[at]!r}", at)
-        kind = match.lastgroup
-        value = match.group(kind)
-        start = match.start(kind)
-        if kind == "symbol" and value == "T":
-            kind = "tau"
-        tokens.append((kind, value, start))
-        pos = match.end()
-    return tokens
+def _expected(token: tuple[str, str, int], what: str) -> FormulaSyntaxError:
+    kind, value, pos = token
+    found = "end of input" if kind == "eof" else repr(value)
+    return FormulaSyntaxError(f"expected {what}, found {found}", pos)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def _peek(self) -> tuple[str, str, int]:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return ("eof", "", len(self.text))
-
-    def _take(self, kind: str, expected: str) -> tuple[str, str, int]:
-        token = self._peek()
-        if token[0] != kind:
-            raise FormulaSyntaxError(
-                f"expected {expected}, found {token[1]!r}" if token[0] != "eof"
-                else f"expected {expected}, found end of input", token[2])
-        self.index += 1
-        return token
-
-    def parse(self) -> Formula:
-        formula = self._formula(0)
-        token = self._peek()
-        if token[0] != "eof":
-            raise FormulaSyntaxError(f"trailing input {token[1]!r}", token[2])
-        return formula
-
-    def _formula(self, depth: int) -> Formula:
-        """Parse one formula enclosed in ``depth`` parentheses."""
-        kind, value, pos = self._peek()
-        if kind == "tau":
-            self.index += 1
-            return Tau()
-        if kind != "lparen":
-            raise FormulaSyntaxError(
-                f"expected a formula, found {value!r}" if kind != "eof"
-                else "expected a formula, found end of input", pos)
-        if depth == MAX_NESTING:
-            raise FormulaSyntaxError(
-                f"formula nests deeper than {MAX_NESTING} parentheses", pos)
-        depth += 1
-        self.index += 1
-        kind, value, pos = self._peek()
-        if kind == "symbol":
-            self.index += 1
-            self._take("dot", "'.'")
-            child = self._formula(depth)
-            self._take("rparen", "')'")
-            return Dia(value, child)
-        if kind == "number":
-            self.index += 1
-            constant = float(value)
-            if not 0.0 <= constant <= 1.0:
-                raise FormulaSyntaxError(
-                    f"constant {value} outside [0, 1]", pos)
-            op_kind, op_value, op_pos = self._peek()
-            if op_kind not in ("imp", "equiv"):
-                raise FormulaSyntaxError(
-                    f"expected '->' or '<->' after a constant, found {op_value!r}",
-                    op_pos)
-            self.index += 1
-            child = self._formula(depth)
-            self._take("rparen", "')'")
-            return Imp(constant, child) if op_kind == "imp" else Equiv(constant, child)
-        left = self._formula(depth)
-        self._take("amp", "'&'")
-        right = self._formula(depth)
-        self._take("rparen", "')'")
-        return And(left, right)
+def _formula(tokens: list, i: int, depth: int) -> tuple[Formula, int]:
+    """The formula at ``tokens[i]``, inside ``depth`` parentheses, and the
+    index of the token after it."""
+    kind, value, pos = tokens[i]
+    if kind == "tau":
+        return Tau(), i + 1
+    if kind != "lparen":
+        raise _expected(tokens[i], "a formula")
+    if depth == MAX_NESTING:
+        raise FormulaSyntaxError(
+            f"formula nests deeper than {MAX_NESTING} parentheses", pos)
+    kind, value, pos = tokens[i + 1]
+    if kind == "symbol":
+        if tokens[i + 2][0] != "dot":
+            raise _expected(tokens[i + 2], "'.'")
+        child, i = _formula(tokens, i + 3, depth + 1)
+        node = Dia(value, child)
+    elif kind == "number":
+        constant = float(value)
+        if not 0.0 <= constant <= 1.0:
+            raise FormulaSyntaxError(f"constant {value} outside [0, 1]", pos)
+        guard = {"imp": Imp, "equiv": Equiv}.get(tokens[i + 2][0])
+        if guard is None:
+            raise _expected(tokens[i + 2], "'->' or '<->' after a constant")
+        child, i = _formula(tokens, i + 3, depth + 1)
+        node = guard(constant, child)
+    else:
+        left, i = _formula(tokens, i + 1, depth + 1)
+        if tokens[i][0] != "amp":
+            raise _expected(tokens[i], "'&'")
+        right, i = _formula(tokens, i + 1, depth + 1)
+        node = And(left, right)
+    if tokens[i][0] != "rparen":
+        raise _expected(tokens[i], "')'")
+    return node, i + 1
 
 
 def parse_formula(text: str) -> Formula:
     """Parse the concrete syntax; raises FormulaSyntaxError with a position."""
-    return _Parser(text).parse()
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        token = (kind, match.group(kind), match.start(kind))
+        if kind == "bad":
+            raise FormulaSyntaxError(f"unexpected character {token[1]!r}", token[2])
+        tokens.append(token)
+    formula, i = _formula(tokens, 0, 0)
+    kind, value, pos = tokens[i]
+    if kind != "eof":
+        raise FormulaSyntaxError(f"trailing input {value!r}", pos)
+    return formula
 
 
 def format_formula(formula: Formula) -> str:

@@ -52,22 +52,21 @@ def generate_automaton(spec: RandomAutomatonSpec) -> FuzzyAutomaton:
     supports occur too.
     """
     rng = random.Random(spec.seed)
+    draw, choice, density = rng.random, rng.choice, spec.transition_density
+    states = range(spec.num_states)
     end_grid = (0.0,) + DEFAULT_DEGREE_GRID
     alphabet = tuple(f"s{i}" for i in range(spec.num_symbols))
-    transitions = []
-    for _ in alphabet:
-        triples = []
-        for x in range(spec.num_states):
-            for y in range(spec.num_states):
-                if rng.random() < spec.transition_density:
-                    triples.append((x, y, rng.choice(DEFAULT_DEGREE_GRID)))
-        transitions.append(tuple(triples))
-    initial = FuzzySet(tuple(rng.choice(end_grid) for _ in range(spec.num_states)))
-    terminal = FuzzySet(tuple(rng.choice(end_grid) for _ in range(spec.num_states)))
+    # Each slot's draw, then a hit's degree, before the next slot's draw.
+    transitions = tuple(
+        tuple([(x, y, choice(DEFAULT_DEGREE_GRID))
+               for x in states for y in states if draw() < density])
+        for _ in alphabet)
+    initial = FuzzySet(tuple(choice(end_grid) for _ in states))
+    terminal = FuzzySet(tuple(choice(end_grid) for _ in states))
     return FuzzyAutomaton(
         num_states=spec.num_states,
         alphabet=alphabet,
-        transitions=tuple(transitions),
+        transitions=transitions,
         initial=initial,
         terminal=terminal,
     )

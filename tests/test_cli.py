@@ -412,6 +412,33 @@ class TestCheck:
             "--tnorm", "lukasiewicz"])
         assert code == 0 and doc["ok"] is True
 
+    @pytest.mark.parametrize("mode", ["sim", "bisim"])
+    @pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "traced"])
+    def test_plain_check_reads_a_greatest_document(self, files, tmp_path,
+                                                   capsys, mode, trace):
+        # Goedel's greatest reaches a fixpoint on this pair, so its phi_k is
+        # a fuzzy (bi)simulation, with or without a trace beside it.
+        left, right = files
+        doc = tmp_path / "greatest.json"
+        assert run(["greatest", "--left", left, "--right", right, "--mode", mode,
+                    *trace, "--output", str(doc)]) == 0
+        assert json.loads(doc.read_text())["status"] == "fixpoint"
+        assert run_json(capsys, ["check", "--left", left, "--right", right,
+                                 "--relation", str(doc), "--mode", mode]) == \
+            (0, {"mode": mode, "ok": True})
+
+    @pytest.mark.parametrize("mode", ["dbsim", "dbbisim"])
+    def test_chain_check_of_an_untraced_document_names_trace(
+            self, files, tmp_path, capsys, mode):
+        left, right = files
+        doc = tmp_path / "result.json"
+        assert run([mode, "--left", left, "--right", right, "--depth", "2",
+                    "--output", str(doc)]) == 0
+        code = run(["check", "--left", left, "--right", right,
+                    "--relation", str(doc), "--mode", mode])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and "--trace" in err
+
     def test_prefix_check_accepts_array(self, files, tmp_path, capsys):
         left, right = files
         prefix = tmp_path / "prefix.json"

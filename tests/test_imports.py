@@ -18,7 +18,7 @@ import pytest
 
 import fuzzbound
 from fuzzbound import FuzzyRelation, automaton_to_json, relation_to_json
-from fuzzbound import cli
+from fuzzbound import cli, dbsim, structure
 
 from conftest import chain_automaton, chain_automaton_variant
 
@@ -75,8 +75,9 @@ def files(tmp_path):
              "relation": tmp_path / "relation.json", "out": tmp_path / "out.json"}
     paths["left"].write_text(json.dumps(automaton_to_json(left)))
     paths["right"].write_text(json.dumps(automaton_to_json(right)))
-    paths["relation"].write_text(json.dumps(relation_to_json(
-        FuzzyRelation(left.num_states, right.num_states))))
+    # A chain of two empty relations: it passes, and its check composes.
+    empty = relation_to_json(FuzzyRelation(left.num_states, right.num_states))
+    paths["relation"].write_text(json.dumps([empty, empty]))
     return {name: str(path) for name, path in paths.items()}
 
 
@@ -161,30 +162,62 @@ class TestCommandImports:
                          "    assert fuzzbound.cli.run(['dbsim']) == 1") == CLI_BASE
 
 
-def _calls_from_cli():
+def _traced_calls(name: str) -> tuple:
+    """``spans.<name>``: the (module, attribute, span) triples perfbench wraps."""
     spec = importlib.util.spec_from_file_location("_perfbench_spans",
                                                   PERFBENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return spans.CALLS_FROM_CLI
+    return getattr(spans, name)
+
+
+def _resolves_on_a_fresh_module(traced: tuple) -> int:
+    # Each attribute, read on a freshly imported module, is the function of
+    # that name in the module its span names; returns how many there are.
+    calls = [(module, attr) for module, attr, _ in traced]
+    out = run_python(
+        "import importlib, json\n"
+        f"calls = {calls!r}\n"
+        "print(json.dumps([(f.__module__, f.__name__) for f in"
+        " (getattr(importlib.import_module(m), a) for m, a in calls)]))\n")
+    resolved = json.loads(out)
+    assert len(resolved) == len(calls)
+    for (_, attr, span), (module, name) in zip(traced, resolved):
+        assert name == attr
+        assert module == "fuzzbound." + span.split(".")[0]
+    return len(resolved)
 
 
 class TestBenchmarkContract:
-    """perfbench swaps ``fuzzbound.cli``'s module attributes for recording
-    wrappers (``spans.CALLS_FROM_CLI``); a wrapper must be what runs."""
+    """perfbench swaps module attributes of ``fuzzbound.cli``
+    (``spans.CALLS_FROM_CLI``) and of ``fuzzbound.dbsim``
+    (``spans.CALLS_FROM_DBSIM``) for recording wrappers, and takes the
+    median of each span; a wrapper must be what runs."""
 
     def test_every_traced_name_resolves_on_a_fresh_cli(self):
-        calls = [(module, attr) for module, attr, _ in _calls_from_cli()]
-        out = run_python(
-            "import importlib, json\n"
-            f"calls = {calls!r}\n"
-            "print(json.dumps([(f.__module__, f.__name__) for f in"
-            " (getattr(importlib.import_module(m), a) for m, a in calls)]))\n")
-        resolved = json.loads(out)
-        assert len(resolved) == len(calls) >= 12
-        for (_, attr, span), (module, name) in zip(_calls_from_cli(), resolved):
-            assert name == attr
-            assert module == "fuzzbound." + span.split(".")[0]
+        assert _resolves_on_a_fresh_module(_traced_calls("CALLS_FROM_CLI")) >= 12
+
+    def test_every_traced_name_resolves_on_a_fresh_dbsim(self):
+        assert _resolves_on_a_fresh_module(_traced_calls("CALLS_FROM_DBSIM")) == 3
+
+    @pytest.mark.parametrize("attr, call", [
+        ("build_index", lambda st, a, b: dbsim.compute_dbsim(st, a, b, 2)),
+        ("relation_to_json",
+         lambda st, a, b: dbsim.compute_dbsim(st, a, b, 2, trace=True).to_json()),
+        ("compose_rel_rel", lambda st, a, b: dbsim.check_dbsim_prefix(
+            st, a, b, [FuzzyRelation(a.num_states, b.num_states)] * 2))])
+    def test_a_wrapper_set_on_dbsim_is_what_runs(self, monkeypatch, attr, call):
+        assert attr in {name for _, name, _ in _traced_calls("CALLS_FROM_DBSIM")}
+        calls = []
+        original = getattr(dbsim, attr)
+
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dbsim, attr, wrapper)
+        call(structure("godel"), chain_automaton(), chain_automaton_variant())
+        assert calls
 
     @pytest.mark.parametrize("command, attr", [
         ("dbsim", "compute_dbsim"), ("dbbisim", "compute_dbbisim"),
@@ -220,4 +253,6 @@ class TestBenchmarkContract:
             names |= {span[3] for span in json.loads(spans_file.read_text())}
         assert {"cli.run", "dbsim.compute_dbsim", "dbsim.check_dbsim_prefix",
                 "fuzzy.relation_from_json", "logic.parse_formula",
-                "logic.eval_formula", "logic.format_formula"} - names == set()
+                "logic.eval_formula", "logic.format_formula",
+                "automata.build_index", "fuzzy.relation_to_json",
+                "fuzzy.compose_rel_rel"} - names == set()

@@ -29,6 +29,27 @@ from fuzzbound.oracle import RandomAutomatonSpec, generate_automaton
 
 WORKED = "(s . (s . (0.9 -> T)))"
 
+# Refused inputs, each with the message and the position it is refused at.
+DEEP = "(" * (MAX_NESTING + 1) + "T" + ")" * (MAX_NESTING + 1)
+REFUSED = [
+    ("", "expected a formula, found end of input", 0),
+    ("  ", "expected a formula, found end of input", 2),
+    ("T T", "trailing input 'T'", 2),
+    ("(s ! T)", "unexpected character '!'", 3),
+    ("(s . T", "expected ')', found end of input", 6),
+    ("(s T)", "expected '.', found 'T'", 3),
+    ("(0.5 T)", "expected '->' or '<->' after a constant, found 'T'", 5),
+    ("(0.5", "expected '->' or '<->' after a constant, found end of input", 4),
+    ("(1.5 -> T)", "constant 1.5 outside [0, 1]", 1),
+    ("(T", "expected '&', found end of input", 2),
+    ("(T &", "expected a formula, found end of input", 4),
+    ("((T & T)", "expected '&', found end of input", 8),
+    ("(s . T))", "trailing input ')'", 7),
+    ("(0.5 -> )", "expected a formula, found ')'", 8),
+    ("x", "expected a formula, found 'x'", 0),
+    (DEEP, f"formula nests deeper than {MAX_NESTING} parentheses", MAX_NESTING),
+]
+
 
 def formula_size(formula) -> int:
     """The number of nodes in the formula's tree."""
@@ -96,6 +117,14 @@ class TestParser:
     def test_round_trip_tiny_constant(self):
         formula = Imp(1e-05, Tau())
         assert parse_formula(format_formula(formula)) == formula
+
+    @pytest.mark.parametrize("text, message, position", REFUSED,
+                             ids=[text[:12] or "empty" for text, *_ in REFUSED])
+    def test_refused_input(self, text, message, position):
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_formula(text)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
 
 
 class TestShape:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from fuzzbound import (
@@ -65,6 +67,20 @@ class TestGenerator:
     def test_bool_density_is_refused(self, density):
         with pytest.raises(DegreeRangeError):
             RandomAutomatonSpec(2, 1, density)
+
+    def test_the_benchmark_pools_are_pinned(self):
+        # Every automaton the benchmark's pools are made of: per workload,
+        # n states, 2 symbols, density min(1, 3 / n), and seeds base + 0..49
+        # (25 entries, a pair each). Their digest was recorded before the
+        # generator was last rewritten, so the random stream is unchanged.
+        digest = hashlib.sha256()
+        for n, base in ((200, 1_000_000), (100, 2_000_000), (80, 3_000_000)):
+            for seed in range(base, base + 50):
+                a = generate_automaton(RandomAutomatonSpec(n, 2, min(1.0, 3 / n), seed))
+                digest.update(repr((a.transitions, a.initial.degrees,
+                                    a.terminal.degrees)).encode())
+        assert digest.hexdigest() == (
+            "0f6353d4b1b1c70c9e68619f6ef5bd01830e643a717b97e518c695652d7a067d")
 
 
 class TestNaiveRecurrence:
