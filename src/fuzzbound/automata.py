@@ -40,15 +40,17 @@ class FuzzyAutomaton(Frozen):
     __slots__ = ("num_states", "alphabet", "transitions", "initial", "terminal",
                  "state_names")
 
-    def __init__(self, num_states: int, alphabet: tuple[str, ...],
+    def __init__(self, num_states: int, alphabet: Sequence[str],
                  transitions: tuple[tuple[Transition, ...], ...],  # per symbol index
                  initial: FuzzySet, terminal: FuzzySet,
-                 state_names: Optional[tuple[str, ...]] = None):
+                 state_names: Optional[Sequence[str]] = None):
         num_states = as_int(num_states, 1, "the number of states")
+        alphabet = tuple(alphabet)
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet symbols must be distinct")
         if state_names is None:
-            state_names = tuple(f"q{i}" for i in range(num_states))
+            state_names = [f"q{i}" for i in range(num_states)]
+        state_names = tuple(state_names)
         if len(state_names) != num_states:
             raise ValueError("state_names length must equal num_states")
         if len(set(state_names)) != num_states:

@@ -12,7 +12,7 @@ from operator import add, le
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, InputFormatError, RelationCapExceeded
-from .lattice import Frozen, Structure, validate_degree
+from .lattice import Frozen, Structure, as_int, validate_degree
 
 # The most degrees a grid may keep, counted by require_cells before it is
 # built: a run's working grid or trace, check's chain and symbol relations, a
@@ -63,6 +63,8 @@ class FuzzyRelation(Frozen):
 
     def __init__(self, rows: int, cols: int,
                  degrees: Optional[Iterable[Iterable[float]]] = None):
+        rows = as_int(rows, 0, "relation rows")
+        cols = as_int(cols, 0, "relation columns")
         if degrees is None:
             grid = tuple((0.0,) * cols for _ in range(rows))
         else:

@@ -12,7 +12,8 @@ guards form the bisimulation dialect. Concrete syntax:
     (F & F)               conjunction
 
 Step symbols are identifiers; the name ``T`` is reserved for the terminal
-test.
+test, and ``Dia`` refuses any other symbol, so every formula prints to text
+that parses back.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ class Dia(Formula):
     __slots__ = ("symbol", "child")
 
     def __init__(self, symbol: str, child: Formula):
+        if symbol == "T" or not _SYMBOL_RE.fullmatch(symbol):
+            raise ValueError(
+                f"step symbol {symbol!r} is not an identifier other than 'T'")
         self._init(symbol, child)
 
 
@@ -66,9 +70,7 @@ class Imp(Formula):
 
 class Equiv(Formula):
     __slots__ = ("constant", "child")
-
-    def __init__(self, constant: float, child: Formula):
-        self._init(validate_degree(constant, "formula constant"), child)
+    __init__ = Imp.__init__
 
 
 class And(Formula):
@@ -78,14 +80,18 @@ class And(Formula):
         self._init(left, right)
 
 
+# Each kind's concrete syntax: {0} is the node, {1} and {2} its children's
+# text. The fields named in _LEAVES hold values; every other field is a child.
+_SYNTAX = {Tau: "T", Dia: "({0.symbol} . {1})", Imp: "({0.constant!r} -> {1})",
+           Equiv: "({0.constant!r} <-> {1})", And: "({1} & {2})"}
+_LEAVES = ("symbol", "constant")
+
+
 def _children(formula: Formula) -> tuple[Formula, ...]:
-    if isinstance(formula, Tau):
-        return ()
-    if isinstance(formula, (Dia, Imp, Equiv)):
-        return (formula.child,)
-    if isinstance(formula, And):
-        return (formula.left, formula.right)
-    raise TypeError(f"not a formula: {formula!r}")
+    if type(formula) not in _SYNTAX:
+        raise TypeError(f"not a formula: {formula!r}")
+    return tuple([getattr(formula, name) for name in formula.__slots__
+                  if name not in _LEAVES])
 
 
 def formula_depth(formula: Formula) -> int:
@@ -104,12 +110,15 @@ def in_dialect(formula: Formula, dialect: str) -> bool:
     return walk(formula)
 
 
+# A step symbol: an identifier other than ``T``, which is the terminal test.
+_SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 # One group matches at every position: a token, a character no token starts
 # with (`bad`), or the end of the input, so a scan ends with an `eof` token.
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<lparen>\()|(?P<rparen>\))|(?P<equiv><->)|(?P<imp>->)"
     r"|(?P<dot>\.)|(?P<amp>&)|(?P<number>\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)"
-    r"|(?P<tau>T(?![A-Za-z0-9_]))|(?P<symbol>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<tau>T(?![A-Za-z0-9_]))|(?P<symbol>{_SYMBOL_RE.pattern})"
     r"|(?P<bad>\S)|(?P<eof>\Z))")
 
 
@@ -174,39 +183,29 @@ def parse_formula(text: str) -> Formula:
 
 def format_formula(formula: Formula) -> str:
     """Print a formula so that parsing the output reproduces it."""
-    if isinstance(formula, Tau):
-        return "T"
-    if isinstance(formula, Dia):
-        return f"({formula.symbol} . {format_formula(formula.child)})"
-    if isinstance(formula, Imp):
-        return f"({formula.constant!r} -> {format_formula(formula.child)})"
-    if isinstance(formula, Equiv):
-        return f"({formula.constant!r} <-> {format_formula(formula.child)})"
-    if isinstance(formula, And):
-        return f"({format_formula(formula.left)} & {format_formula(formula.right)})"
-    raise TypeError(f"not a formula: {formula!r}")
+    children = _children(formula)
+    return _SYNTAX[type(formula)].format(formula, *map(format_formula, children))
 
 
 def eval_formula(st: Structure, automaton: FuzzyAutomaton,
                  formula: Formula) -> FuzzySet:
     """Degree, per state, in which the state has the formula's property."""
     tnorm = st.tnorm
-    residuum = st.residuum
-    biresiduum = st.biresiduum
+    guard_ops = {Imp: st.residuum, Equiv: st.biresiduum}
     succ = build_index(automaton).succ
 
     def walk(f: Formula) -> list[float]:
-        if isinstance(f, Tau):
+        kind = type(f)
+        if kind is Tau:
             return list(automaton.terminal.degrees)
-        if isinstance(f, Dia):
+        if kind is Dia:
             succ_s = succ[automaton.symbol_index(f.symbol)]
             return pull_back(tnorm, succ_s, walk(f.child))
-        if isinstance(f, Imp):
-            return [residuum(f.constant, v) for v in walk(f.child)]
-        if isinstance(f, Equiv):
-            return [biresiduum(f.constant, v) for v in walk(f.child)]
-        if isinstance(f, And):
+        if kind is And:
             return [min(l, r) for l, r in zip(walk(f.left), walk(f.right))]
+        if kind in guard_ops:
+            op = guard_ops[kind]
+            return [op(f.constant, v) for v in walk(f.child)]
         raise TypeError(f"not a formula: {f!r}")
 
     return FuzzySet(tuple(walk(formula)))

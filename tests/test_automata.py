@@ -12,6 +12,7 @@ from fuzzbound import (
     automaton_to_json,
     bisim_norm,
     build_index,
+    compute_dbsim,
     language_bounded,
     language_eval,
     sim_norm,
@@ -56,6 +57,28 @@ class TestModel:
         with pytest.raises(ValueError, match=rule):
             FuzzyAutomaton(len(states), alphabet, ((),) * len(alphabet), ends, ends,
                            states)
+
+    @pytest.mark.parametrize("alphabet, transitions, ends, names, rule", [
+        (("s",), ((),), 2, ("q",), "state_names length must equal num_states"),
+        (("s", "t"), ((),), 2, None, "one transition list per alphabet symbol"),
+        (("s",), ((),), 1, None, "initial/terminal sets must range over the states"),
+    ], ids=["names", "transitions", "end-sets"])
+    def test_rejects_inconsistent_parts(self, alphabet, transitions, ends, names,
+                                        rule):
+        end_set = FuzzySet((0.0,) * ends)
+        with pytest.raises(ValueError, match=rule):
+            FuzzyAutomaton(2, alphabet, transitions, end_set, end_set, names)
+
+    # Names passed as lists are stored as tuples: an automaton hashes, and
+    # two automata over the same names agree whichever sequence held them.
+    def test_names_are_stored_as_tuples(self):
+        ends = FuzzySet((0.5,))
+        listed = FuzzyAutomaton(1, ["a"], ((),), ends, ends, ["p"])
+        tupled = FuzzyAutomaton(1, ("a",), ((),), ends, ends, ("p",))
+        assert (listed.alphabet, listed.state_names) == (("a",), ("p",))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        result = compute_dbsim(structure("godel"), listed, tupled, 1)
+        assert result.relation[0, 0] == 1.0
 
     def test_rejects_unknown_names(self):
         with pytest.raises(InputFormatError):

@@ -215,6 +215,11 @@ class TestDefinitionCheckers:
         with pytest.raises(DimensionMismatch):
             check_sim(st, a, b, FuzzyRelation(3, 2))
 
+    def test_empty_prefix_refused(self, st):
+        a, b = chain_pair()
+        with pytest.raises(ValueError, match="at least one relation"):
+            check_dbsim_prefix(st, a, b, [])
+
     def test_constant_prefix_of_simulation(self, st):
         a, b = chain_pair()
         fixed = greatest_fixpoint(st, a, b, "sim", max_iters=300, tol=1e-12)
@@ -558,6 +563,11 @@ class TestPrefixNorm:
                 per_component = [prefix_norm(st, [rel], a, b, mode)
                                  for rel in result.prefix]
                 assert per_component == list(result.norms)
+
+    def test_empty_prefix_refused(self):
+        a, b = chain_pair()
+        with pytest.raises(ValueError, match="at least one relation"):
+            prefix_norm(structure("godel"), [], a, b, "sim")
 
     @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (1, 2)])
     @pytest.mark.parametrize("mode", ["sim", "bisim"])

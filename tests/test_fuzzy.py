@@ -74,6 +74,19 @@ class TestValues:
         with pytest.raises(DimensionMismatch):
             FuzzyRelation(2, 2, ((0.1,), (0.2, 0.3)))
 
+    # A shape is a count, checked as relation_from_json checks a document's:
+    # relation_to_json would write 2.0 or -5, which no reader takes back.
+    @pytest.mark.parametrize("rows, cols, degrees, error", [
+        (0, -5, None, ValueError),
+        (-1, 0, None, ValueError),
+        (2.0, 1, ((0.5,), (0.25,)), TypeError),
+        (1, 1.0, ((0.5,),), TypeError),
+        (True, 1, ((0.5,),), TypeError),
+    ])
+    def test_relation_shape_is_a_count(self, rows, cols, degrees, error):
+        with pytest.raises(error):
+            FuzzyRelation(rows, cols, degrees)
+
     def test_relation_stores_checked_floats(self):
         # An int cell is stored as the float validate_degree returns, as in
         # FuzzySet, so the JSON form writes 1.0, not 1.
@@ -110,6 +123,8 @@ class TestCompose:
     def test_dimension_mismatch(self, st):
         with pytest.raises(DimensionMismatch):
             compose_rel_rel(st, FuzzyRelation(2, 3), FuzzyRelation(2, 3))
+        with pytest.raises(DimensionMismatch):
+            compose_rel_set(st, FuzzyRelation(2, 3), FuzzySet((0.5,) * 2))
 
     @pytest.mark.parametrize("name", ["godel", "lukasiewicz", "product",
                                       "nilpotent-minimum"])
@@ -250,6 +265,8 @@ class TestDegrees:
     def test_size_mismatch(self, st):
         with pytest.raises(DimensionMismatch):
             subset_degree(st, FuzzySet((0.0,) * 2), FuzzySet((0.0,) * 3))
+        with pytest.raises(DimensionMismatch):
+            set_leq(st, FuzzySet((0.0,) * 2), FuzzySet((0.0,) * 3))
 
 
 class TestPointwiseOps:

@@ -24,7 +24,7 @@ from fuzzbound import (
     structure,
 )
 from fuzzbound.errors import DegreeRangeError, DialectError, FormulaSyntaxError
-from fuzzbound.logic import MAX_NESTING, _children
+from fuzzbound.logic import MAX_NESTING, Formula, _children
 from fuzzbound.oracle import RandomAutomatonSpec, generate_automaton
 
 WORKED = "(s . (s . (0.9 -> T)))"
@@ -49,6 +49,10 @@ REFUSED = [
     ("x", "expected a formula, found 'x'", 0),
     (DEEP, f"formula nests deeper than {MAX_NESTING} parentheses", MAX_NESTING),
 ]
+
+
+# Objects that are not formulas, alone or as a node's child.
+NOT_FORMULAS = [5, None, "T", Formula(), Dia("s0", 5), And(Tau(), None)]
 
 
 def formula_size(formula) -> int:
@@ -164,6 +168,27 @@ class TestShape:
         with pytest.raises(DegreeRangeError):
             Imp(1.2, Tau())
 
+    # The printer writes a step's symbol as it is, so a symbol the parser
+    # cannot read back is refused when the step is built.
+    @pytest.mark.parametrize("symbol", ["a b", "T", "", "1x", "x-y", "\u00e9"])
+    def test_step_symbol_is_an_identifier(self, symbol):
+        with pytest.raises(ValueError, match=f"step symbol {symbol!r}"):
+            Dia(symbol, Tau())
+        with pytest.raises(ValueError, match=f"step symbol {symbol!r}"):
+            random_formula("sim", 3, (0.5,), (symbol,), seed=0)
+
+    @pytest.mark.parametrize("value", NOT_FORMULAS,
+                             ids=[repr(v) for v in NOT_FORMULAS])
+    @pytest.mark.parametrize("walker", [
+        format_formula, formula_depth, lambda f: in_dialect(f, "sim"),
+        lambda f: in_dialect(f, "bisim"),
+        lambda f: eval_formula(structure("godel"), generate_automaton(
+            RandomAutomatonSpec(2, 1, 0.5, seed=0)), f)],
+        ids=["format", "depth", "sim-dialect", "bisim-dialect", "eval"])
+    def test_walkers_refuse_a_non_formula(self, walker, value):
+        with pytest.raises(TypeError, match="not a formula"):
+            walker(value)
+
 
 class TestEval:
     def test_worked_values(self, pair):
@@ -225,6 +250,12 @@ class TestRandomFormula:
     def test_depth_is_an_int(self, depth):
         with pytest.raises(TypeError):
             random_formula("sim", depth, (0.5,), ("s",), seed=0)
+
+    @pytest.mark.parametrize("pool, symbols, what", [
+        ((), ("s",), "constant_pool"), ((0.5,), (), "symbols")])
+    def test_empty_choices_refused(self, pool, symbols, what):
+        with pytest.raises(ValueError, match=f"{what} must not be empty"):
+            random_formula("sim", 3, pool, symbols, seed=0)
 
     def test_constant_pool_helper(self, pair):
         a, b = pair
