@@ -51,6 +51,9 @@ class FuzzyAutomaton(Frozen):
         if state_names is None:
             state_names = [f"q{i}" for i in range(num_states)]
         state_names = tuple(state_names)
+        for name in alphabet + state_names:  # as automaton_from_json reads them
+            if not isinstance(name, str):
+                raise TypeError(f"a symbol or state name holds {name!r}, not a string")
         if len(state_names) != num_states:
             raise ValueError("state_names length must equal num_states")
         if len(set(state_names)) != num_states:

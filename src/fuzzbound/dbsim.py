@@ -3,22 +3,22 @@
 The two computation entry points return the component chain phi_0..phi_k of
 the greatest depth-bounded fuzzy (bi)simulation between two finite automata,
 using the sparse successor/predecessor iteration. phi_i depends only on
-phi_{i-1}, so the rounds are semi-naive: the first round is a full pass, and
-each later one revisits only the open constraints whose successor degrees
-changed in the round before; a constraint whose cells have all reached their
-floors is settled and leaves for good. One generator, :func:`_rounds`,
-yields the chain until it is stable; :func:`_run` cuts it by the stop rules
-(depth, fixpoint, tolerance) for both entry points and for the fixpoint
-driver of the greatest plain fuzzy (bi)simulation. A bisimulation is a
-simulation whose inverse is one too, so the simulation code also serves the
+phi_{i-1}, so the rounds are semi-naive: the first round works per class of
+equal rows of phi_0, and each later one revisits only the open constraints
+whose successor degrees changed in the round before; a constraint whose cells
+have all reached their floors is settled and leaves for good. One generator,
+:func:`_rounds`, yields the chain until it is stable; :func:`_run` cuts it by
+the stop rules (depth, fixpoint, tolerance) for both entry points and for the
+fixpoint driver of the greatest plain fuzzy (bi)simulation. A bisimulation is
+a simulation whose inverse is one too, so the simulation code also serves the
 mirrored side, on the swapped automata and the inverse relations: the round
 kernel :func:`_pass` with the inputs of :func:`_views`, and the conditions
 the definition-level checkers test; a plain (bi)simulation is checked as the
 constant chain (rel, rel). The same pass computes each component's norm, on
-the initial sets as one more symbol (:func:`_side`). The kernel is one
-source text: :func:`_kernel` compiles it on first use per built-in structure
-with its t-norm and residuum inlined, and once as it stands for every other
-pair, which it then calls.
+the initial sets as one more symbol (:func:`_side`). The kernel is one source
+text: :func:`_kernel` compiles it on first use per built-in structure with
+its t-norm and residuum inlined, and once as it stands for every other pair,
+which it then calls.
 """
 
 from __future__ import annotations
@@ -180,18 +180,22 @@ def _pass(st: Structure, grid: list[list[float]],
     int.to_bytes convert it in C. A built-in structure's kernel has its
     t-norm and residuum inlined; any other calls st's (:func:`_kernel`).
 
-    ``marks`` holds, per column y' of prev, an int whose bit 8y is set if
-    the cell prev[y][y'] differs from the relation the last round read. The
-    first round (``marks`` is None) visits every open pair, at first every
-    (x', y) where y has a predecessor. A later round visits only the open
-    pairs with a marked successor cell: any other pair's bound is the one it
-    had when last applied, and the grid only decreases, so it could lower
-    nothing. A pair whose cells are all at or below their floors (see L3) is
-    settled: the pass clears its bit, and it is never visited again, since
-    cells only fall and floors are fixed. The order is the same
-    (symbol, x', y, x), so the same lowerings happen in the same order.
-    Finding the pairs costs O(m_b) int ORs (:func:`_revisits`), on the masks
-    of one C-level O(n_a n_b) diff (:func:`_diff`).
+    ``marks`` holds, per column y' of prev, an int whose bit 8y is set if the
+    cell prev[y][y'] differs from the relation the last round read. The first
+    round (``marks`` is None) reads phi_0, whose rows repeat: if at most half
+    of them are distinct, it takes per live x' one bound per (symbol, class of
+    equal rows) and one residuum per distinct (symbol, class, d) of the
+    transitions x -d-> y, then lowers each cell x by its transitions in
+    (symbol, y) order, as the pair walk does, with no open mask (round two
+    settles pairs); else it visits every open pair. A later round visits only
+    the open pairs with a marked successor cell: any other pair's bound is the
+    one it had when last applied, and the grid only decreases, so it could
+    lower nothing. A pair whose cells are all at or below their floors (see
+    L3) is settled: the pass clears its bit, and it is never visited again,
+    since cells only fall and floors are fixed. The order is the same (symbol,
+    x', y, x), so the same lowerings happen in the same order. Finding the
+    pairs costs O(m_b) int ORs (:func:`_revisits`), on the masks of one
+    C-level O(n_a n_b) diff (:func:`_diff`).
 
     The norm is this pass on the 1x1 grid phi(iota_a, iota_b) of fresh start
     states, with the norm views of :func:`_side`: it lowers the cell to each
@@ -213,6 +217,42 @@ def _pass(st: Structure, grid: list[list[float]],
     """
     tnorm, residuum = st.tnorm, st.residuum
     max_drop = 0.0
+    classes: dict = {}  # a row of prev -> the first y with that row
+    of_y = [classes.setdefault(tuple(prev_y), y)
+            for y, prev_y in enumerate(prev)] if marks is None else []
+    if of_y and 2 * len(classes) <= len(of_y):
+        bounds: dict = {}  # (symbol, first y of a class) -> its index in tops
+        steps: dict = {}  # (index in tops, d) -> its index in lows
+        walks: list = [[] for _ in grid[0]]  # per x, its steps in (symbol, y) order
+        for s, pred_s in enumerate(floors):
+            for y, pred_y in enumerate(pred_s):
+                for x, d, _ in pred_y:
+                    k = bounds.setdefault((s, of_y[y]), len(bounds))
+                    walks[x].append(steps.setdefault((k, d), len(steps)))
+        for row, succ in compress(zip(grid, zip(*caps)), map(any, grid)):
+            tops = []
+            for s, y in bounds:
+                prev_y = prev[y]
+                bound = 0.0
+                for cap, yp, d in succ[s]:
+                    if cap <= bound:
+                        break
+                    p = prev_y[yp]
+                    v = tnorm(d, p)
+                    if v > bound:
+                        bound = v
+                tops.append(bound)
+            lows = [residuum(d, bound) for k, d in steps for bound in (tops[k],)]
+            for x, walk in enumerate(walks):
+                cur = row[x]
+                for k in walk:
+                    new = lows[k]
+                    if new < cur:
+                        if cur - new > max_drop:
+                            max_drop = cur - new
+                        cur = new
+                row[x] = cur
+        return max_drop
     for row, succ_list, ys, open_s, xp in _revisits(grid, prev, caps, floors,
                                                     marks, opens):
         settled = 0
@@ -391,17 +431,19 @@ def compute_dbsim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, k: int,
                   trace: bool = False) -> DbSimResult:
     """Component phi_k of the greatest depth-bounded fuzzy simulation.
 
-    Starts from the terminal-set residuum relation and applies k rounds of
-    the sparse bound/predecessor update, exiting early once a round changes
-    nothing (every later component equals that fixpoint). The first round
-    is a full one, O(n_a m_b + n_b m_a + n_a n_b) for automata of n states
-    and m transitions; a later round visits only the open pairs whose
-    successor degrees changed in the round before, plus O(m_b) int ORs to
-    find those pairs and one C-level O(n_a n_b) diff, a byte per cell, per
+    Starts from the terminal-set residuum relation and applies k rounds of the
+    sparse bound/predecessor update, exiting early once a round changes
+    nothing (every later component equals that fixpoint). The first round is a
+    full one, O(n_a m_b + n_b m_a + n_a n_b) for automata of n states and m
+    transitions, but makes at most c_a m_b + n_b u_a op calls if phi_0 has
+    c_a <= n_a / 2 distinct rows, u_a <= m_a being the distinct (symbol, row,
+    degree) of a's transitions; a later round visits only the open pairs whose
+    successor degrees changed in the round before, plus O(m_b) int ORs to find
+    those pairs and one C-level O(n_a n_b) diff, a byte per cell, per
     orientation (a simulation needs only one). A pair whose cells have all
     reached their floors is settled and leaves the work for good. The start
-    component costs one row of n_a calls per distinct terminal degree of b.
-    A run whose working grid, or traced chain, could hold more than
+    component costs one row of n_a calls per distinct terminal degree of b. A
+    run whose working grid, or traced chain, could hold more than
     ``MAX_CELLS`` degrees raises ``TraceCapExceeded`` before its first round.
     """
     return _run(st, a, b, MODE_SIM, k, trace, tol=None)

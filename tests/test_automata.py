@@ -80,6 +80,21 @@ class TestModel:
         result = compute_dbsim(structure("godel"), listed, tupled, 1)
         assert result.relation[0, 0] == 1.0
 
+    # automaton_from_json reads names only as strings, so the constructor
+    # refuses any other name: an automaton it builds writes a document that
+    # reads back.
+    @pytest.mark.parametrize("alphabet, names", [
+        ((5,), ("p",)), (("a",), (7,)), ((b"a",), ("p",)), (("a",), (None,)),
+    ], ids=["int-symbol", "int-state", "bytes-symbol", "none-state"])
+    def test_rejects_names_that_are_not_strings(self, alphabet, names):
+        ends = FuzzySet((0.5,))
+        with pytest.raises(TypeError, match="not a string"):
+            FuzzyAutomaton(1, alphabet, ((),), ends, ends, names)
+        with pytest.raises(TypeError, match="not a string"):
+            FuzzyAutomaton.build(alphabet, names, {}, {}, [])
+        written = FuzzyAutomaton(1, ("a",), ((),), ends, ends, ("p",))
+        assert automaton_from_json(automaton_to_json(written)) == written
+
     def test_rejects_unknown_names(self):
         with pytest.raises(InputFormatError):
             FuzzyAutomaton.build(["s"], ["q"], {"r": 1.0}, {}, [])
