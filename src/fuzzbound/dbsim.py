@@ -182,20 +182,21 @@ def _pass(st: Structure, grid: list[list[float]],
 
     ``marks`` holds, per column y' of prev, an int whose bit 8y is set if the
     cell prev[y][y'] differs from the relation the last round read. The first
-    round (``marks`` is None) reads phi_0, whose rows repeat: if at most half
-    of them are distinct, it takes per live x' one bound per (symbol, class of
-    equal rows) and one residuum per distinct (symbol, class, d) of the
-    transitions x -d-> y, then lowers each cell x by its transitions in
-    (symbol, y) order, as the pair walk does, with no open mask (round two
-    settles pairs); else it visits every open pair. A later round visits only
-    the open pairs with a marked successor cell: any other pair's bound is the
-    one it had when last applied, and the grid only decreases, so it could
-    lower nothing. A pair whose cells are all at or below their floors (see
-    L3) is settled: the pass clears its bit, and it is never visited again,
-    since cells only fall and floors are fixed. The order is the same (symbol,
-    x', y, x), so the same lowerings happen in the same order. Finding the
-    pairs costs O(m_b) int ORs (:func:`_revisits`), on the masks of one
-    C-level O(n_a n_b) diff (:func:`_diff`).
+    round (``marks`` is None) reads phi_0, whose row for y is fixed by y's
+    terminal degree, so its rows repeat: it takes per live x' one bound per
+    (symbol, class of equal rows) and one residuum per distinct
+    (symbol, class, d) of the transitions x -d-> y, then lowers each cell x by
+    its transitions in (symbol, y) order. It reads no open mask, as every pair
+    is open, so round two settles pairs. A later round visits only the open
+    pairs with a marked successor cell: any other pair's bound is the one it
+    had when last applied, and the grid only decreases, so it could lower
+    nothing. A pair whose cells are all at or below their floors (see L3) is
+    settled: the pass clears its bit, and it is never visited again, since
+    cells only fall and floors are fixed. Either way each cell meets its
+    transitions in (symbol, y) order, so the cells and the drop are those of
+    a walk over every pair in (symbol, x', y, x) order. Finding the pairs
+    costs O(m_b) int ORs (:func:`_revisits`), on the masks of one C-level
+    O(n_a n_b) diff (:func:`_diff`).
 
     The norm is this pass on the 1x1 grid phi(iota_a, iota_b) of fresh start
     states, with the norm views of :func:`_side`: it lowers the cell to each
@@ -217,10 +218,9 @@ def _pass(st: Structure, grid: list[list[float]],
     """
     tnorm, residuum = st.tnorm, st.residuum
     max_drop = 0.0
-    classes: dict = {}  # a row of prev -> the first y with that row
-    of_y = [classes.setdefault(tuple(prev_y), y)
-            for y, prev_y in enumerate(prev)] if marks is None else []
-    if of_y and 2 * len(classes) <= len(of_y):
+    if marks is None:
+        classes: dict = {}  # a row of prev -> the first y with that row
+        of_y = [classes.setdefault(tuple(prev_y), y) for y, prev_y in enumerate(prev)]
         bounds: dict = {}  # (symbol, first y of a class) -> its index in tops
         steps: dict = {}  # (index in tops, d) -> its index in lows
         walks: list = [[] for _ in grid[0]]  # per x, its steps in (symbol, y) order
@@ -317,12 +317,12 @@ def _kernel(st: Structure) -> Callable:
 
 
 def _revisits(grid: list[list[float]], prev: Sequence[Sequence[float]],
-              caps: list, floors: list, marks: Optional[list[int]], opens: list):
+              caps: list, floors: list, marks: list[int], opens: list):
     # The work of a pass: per symbol and live x' ascending, the open pairs
     # (x', y) whose bound reads a marked cell (y, y'), y' a successor of x',
     # each as (y, prev[y], pred[y]), with the symbol's open masks and x'.
     # The y are the bytes set in the open mask (a subset of the y with
-    # predecessors) ANDed with the OR of those columns' marks, if any; when
+    # predecessors) ANDed with the OR of those columns' marks; when
     # that is every y with predecessors, the symbol's one list is shared.
     live = list(compress(range(len(grid)), map(any, grid)))
     for succ_s, pred_s, open_s in zip(caps, floors, opens):
@@ -333,11 +333,10 @@ def _revisits(grid: list[list[float]], prev: Sequence[Sequence[float]],
             if not ys:
                 continue
             succ_list = succ_s[xp]
-            if marks is not None:
-                seen = 0
-                for _, yp, _ in succ_list:
-                    seen |= marks[yp]
-                ys &= seen
+            seen = 0
+            for _, yp, _ in succ_list:
+                seen |= marks[yp]
+            ys &= seen
             if ys.bit_count() == len(every_y):
                 yield grid[xp], succ_list, every_y, open_s, xp
             elif ys:
@@ -435,8 +434,8 @@ def compute_dbsim(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, k: int,
     sparse bound/predecessor update, exiting early once a round changes
     nothing (every later component equals that fixpoint). The first round is a
     full one, O(n_a m_b + n_b m_a + n_a n_b) for automata of n states and m
-    transitions, but makes at most c_a m_b + n_b u_a op calls if phi_0 has
-    c_a <= n_a / 2 distinct rows, u_a <= m_a being the distinct (symbol, row,
+    transitions, but makes at most c_a m_b + n_b u_a op calls, phi_0 having
+    c_a <= n_a distinct rows and u_a <= m_a being the distinct (symbol, row,
     degree) of a's transitions; a later round visits only the open pairs whose
     successor degrees changed in the round before, plus O(m_b) int ORs to find
     those pairs and one C-level O(n_a n_b) diff, a byte per cell, per
