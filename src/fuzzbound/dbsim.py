@@ -185,18 +185,21 @@ def _pass(st: Structure, grid: list[list[float]],
     round (``marks`` is None) reads phi_0, whose row for y is fixed by y's
     terminal degree, so its rows repeat: it takes per live x' one bound per
     (symbol, class of equal rows) and one residuum per distinct
-    (symbol, class, d) of the transitions x -d-> y, then lowers each cell x by
-    its transitions in (symbol, y) order. It reads no open mask, as every pair
-    is open, so round two settles pairs. A later round visits only the open
-    pairs with a marked successor cell: any other pair's bound is the one it
-    had when last applied, and the grid only decreases, so it could lower
-    nothing. A pair whose cells are all at or below their floors (see L3) is
-    settled: the pass clears its bit, and it is never visited again, since
-    cells only fall and floors are fixed. Either way each cell meets its
-    transitions in (symbol, y) order, so the cells and the drop are those of
-    a walk over every pair in (symbol, x', y, x) order. Finding the pairs
-    costs O(m_b) int ORs (:func:`_revisits`), on the masks of one C-level
-    O(n_a n_b) diff (:func:`_diff`).
+    (symbol, class, d) of the transitions x -d-> y, then lowers each positive
+    cell x by its transitions in (symbol, y) order: a 0.0 cell cannot fall,
+    as no residuum is below 0.0 and a cell only takes a lower value. It
+    reads no open mask, as every pair is open, so round two settles pairs.
+    A later round visits only the open pairs with a marked successor cell:
+    any other pair's bound is the one it had when last applied, and the grid
+    only decreases, so it could lower nothing. A pair whose cells are all at
+    or below their floors (see L3) is settled: the pass clears its bit, and
+    it is never visited again, since cells only fall and floors are fixed.
+    A pair whose bound is 0.0 is settled in the visit that lowers it, as it
+    takes every cell above its floor to d => 0.0, the floor itself. Either
+    way each cell meets its transitions in (symbol, y) order, so the cells
+    and the drop are those of a walk over every pair in (symbol, x', y, x)
+    order. Finding the pairs costs O(m_b) int ORs (:func:`_revisits`), on
+    the masks of one C-level O(n_a n_b) diff (:func:`_diff`).
 
     The norm is this pass on the 1x1 grid phi(iota_a, iota_b) of fresh start
     states, with the norm views of :func:`_side`: it lowers the cell to each
@@ -243,7 +246,7 @@ def _pass(st: Structure, grid: list[list[float]],
                         bound = v
                 tops.append(bound)
             lows = [residuum(d, bound) for k, d in steps for bound in (tops[k],)]
-            for x, walk in enumerate(walks):
+            for x, walk in compress(enumerate(walks), row):
                 cur = row[x]
                 for k in walk:
                     new = lows[k]
@@ -253,6 +256,7 @@ def _pass(st: Structure, grid: list[list[float]],
                         cur = new
                 row[x] = cur
         return max_drop
+    bits = [1 << 8 * y for y in range(len(prev))]  # the open-mask bit of each y
     for row, succ_list, ys, open_s, xp in _revisits(grid, prev, caps, floors,
                                                     marks, opens):
         settled = 0
@@ -263,7 +267,7 @@ def _pass(st: Structure, grid: list[list[float]],
                 if cur > top and cur > floor:
                     top = cur
             if top == 0.0:
-                settled |= 1 << 8 * y
+                settled |= bits[y]
                 continue
             bound = 0.0
             for cap, yp, d in succ_list:
@@ -275,6 +279,8 @@ def _pass(st: Structure, grid: list[list[float]],
                     bound = v
             if bound >= top:
                 continue
+            if bound == 0.0:
+                settled |= bits[y]
             for x, d, floor in pred_list:
                 cur = row[x]
                 if cur <= bound or cur <= floor:
@@ -385,10 +391,11 @@ def _rounds(st: Structure, a: FuzzyAutomaton, b: FuzzyAutomaton, bisim: bool):
             drop = max(drop, run_pass(st, work, prev, *views, marked))
         if drop == 0.0:
             return
-        if bisim:
-            work = _transpose(work)
-        new = (tuple(zip(*work)), work)
-        # A column of one orientation is a row of the other.
+        # A bisimulation's work is x-major after the mirrored side.
+        new = ((tuple(map(tuple, work)), _transpose(work)) if bisim
+               else (tuple(zip(*work)), work))
+        # A column of one orientation is a row of the other. Taken before the
+        # yield, as phi_i's norm passes read the marks of the round that made it.
         marks = [_diff(new[1 - s], phi[1 - s]) for s in range(len(sides))]
         phi = new
 

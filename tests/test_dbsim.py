@@ -1068,7 +1068,7 @@ class TestRevisitPass:
         a, b = random_pair(2, num_states=30, num_symbols=2, density=0.1)
         visits = self.logged_kernel(monkeypatch)
         result = compute_dbbisim(st, a, b, 6, trace=True)
-        # Measured: 4814 visits.
+        # Measured: 4259 visits.
         assert len(visits) <= 0.8 * self.VISITS_KEPT_OPEN, len(visits)
         expected = naive_dbsim(st, a, b, 6, "bisim")
         assert [rel.degrees for rel in result.prefix] == [
@@ -1225,7 +1225,8 @@ def unpruned_first_round(st, grid, prev, pred, succ):
 def first_round_inputs(draw):
     """A kernel pair, a previous relation whose rows repeat (at most half of
     them distinct) or are all distinct, and a working grid with some rows
-    emptied."""
+    emptied and about half the cells of the others at 0.0, which the pass
+    skips."""
     a, b = draw(kernel_pairs())
     n_a, n_b = a.num_states, b.num_states
     cell = strat.sampled_from((0.0,) + KERNEL_DEGREES)
@@ -1236,7 +1237,8 @@ def first_round_inputs(draw):
     else:
         row = strat.tuples(*[strat.one_of(cell, strat.floats(0.0, 1.0))] * n_b)
         prev = tuple(draw(strat.lists(row, min_size=n_a, max_size=n_a, unique=True)))
-    grid = [[draw(cell) for _ in range(n_a)] if draw(strat.booleans())
+    cell_or_zero = strat.one_of(strat.just(0.0), cell)
+    grid = [[draw(cell_or_zero) for _ in range(n_a)] if draw(strat.booleans())
             else [0.0] * n_a for _ in range(n_b)]
     return a, b, prev, grid
 
@@ -1265,6 +1267,36 @@ class TestFirstRound:
         assert repr(drop) == repr(unpruned_first_round(
             st, expected, prev, index_a.pred, index_b.succ))
         assert repr(got) == repr(expected)
+
+
+class TestZeroBound:
+    # A later pass that finds a pair's bound to be 0.0 lowers each of its
+    # cells above the floor to d => 0.0, the floor itself, so the same visit
+    # settles the pair.
+
+    @pytest.mark.parametrize("kind", sorted(LAWFUL))
+    def test_zero_bound_settles_the_pair_it_lowers(self, kind):
+        # x -s-> y (0.5) and w -s-> y (1.0) on the left, x' -s-> y' (1.0)
+        # on the right, and prev(y, y') = 0.0, marked as changed: the pair
+        # (x', y) has bound 1.0 (x) 0.0 = 0.0, the cell (x', x) = 1.0 lies
+        # above its floor 0.5 => 0.0, and (x', w) = 0.0 is at its floor.
+        st = LAWFUL[kind]
+        a = FuzzyAutomaton.build(["s"], ["x", "w", "y"], {}, {},
+                                 [("x", "s", "y", 0.5), ("w", "s", "y", 1.0)])
+        b = FuzzyAutomaton.build(["s"], ["x'", "y'"], {}, {},
+                                 [("x'", "s", "y'", 1.0)])
+        caps, floors, opens = dbsim._views(st, build_index(a).pred,
+                                           build_index(b).succ)
+        prev = ((1.0, 1.0), (1.0, 1.0), (1.0, 0.0))
+        grid = [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        y_bit = 1 << 8 * 2
+        assert opens[0][0] & y_bit
+        assert grid[0][0] > floors[0][2][0][2]
+        KERNEL(st)(st, grid, prev, caps, floors, opens, [0, y_bit])
+        assert not opens[0][0] & y_bit
+        assert [grid[0][x] for x, _, _ in floors[0][2]] == [
+            floor for _, _, floor in floors[0][2]] == [
+            st.residuum(0.5, 0.0), st.residuum(1.0, 0.0)]
 
 
 class TestNormReferee:
